@@ -5,11 +5,14 @@ campaign collection must speed up with worker processes (the paper polls
 30 ToR switches concurrently), and the numpy analysis kernels must beat
 their scalar reference oracles by a wide margin at campaign data
 volumes.  Speedup assertions are gated on the machine actually having
-cores to parallelize over; the byte-identity assertions always run.
+cores to parallelize over; the byte-identity assertions always run.  The
+oracles are the test suite's (``tests/oracles.py``).
 """
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -17,17 +20,19 @@ from conftest import scaled
 from repro.analysis.bursts import extract_bursts_gap_aware
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.runs import run_lengths
-from repro.core.kernels import (
-    SCALAR_ENV,
-    scalar_deltas,
-    scalar_ecdf_probs,
-    scalar_run_lengths,
-)
 from repro.core.parallel import ParallelCampaign
 from repro.core.samples import CounterTrace, ValueKind
 from repro.core.traceio import _crc
 from repro.synth.dataset import SyntheticCampaignSource, default_plan
 from repro.units import gbps, seconds, us
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import (  # noqa: E402
+    gap_aware_core_segmented,
+    scalar_deltas,
+    scalar_ecdf_probs,
+    scalar_run_lengths,
+)
 
 INTERVAL = us(25)
 KERNEL_N = scaled(dict(n=200_000), dict(n=1_000_000))["n"]
@@ -128,17 +133,19 @@ def test_vectorized_kernel_throughput(benchmark):
     assert ratio >= 5.0, f"vectorized kernels only {ratio:.1f}x over scalar"
 
 
-def test_gap_aware_pipeline_scalar_parity_throughput(benchmark, monkeypatch):
-    """Full gap-aware burst pipeline: the REPRO_SCALAR escape hatch gives
-    identical results, and the vectorized path is >= 5x faster."""
+def test_gap_aware_pipeline_scalar_parity_throughput(benchmark):
+    """Full gap-aware burst pipeline: the segment-materializing scalar
+    oracle gives identical results, and the vectorized path is >= 5x
+    faster."""
     trace = bench_trace(KERNEL_N // 10)
 
     fast = benchmark(extract_bursts_gap_aware, trace)
     fast_s, _ = timed(extract_bursts_gap_aware, trace)
-    monkeypatch.setenv(SCALAR_ENV, "1")
-    slow_s, slow = timed(extract_bursts_gap_aware, trace)
-    monkeypatch.delenv(SCALAR_ENV)
-    assert np.array_equal(fast.durations_ns, slow.durations_ns)
-    assert fast.n_clipped_bursts == slow.n_clipped_bursts
+    slow_s, slow = timed(
+        gap_aware_core_segmented, trace, trace.nominal_interval_ns(), 0.5, 1.5
+    )
+    durations, _gaps, _pooled, _n_segments, n_clipped = slow
+    assert np.array_equal(fast.durations_ns, durations)
+    assert fast.n_clipped_bursts == n_clipped
     ratio = slow_s / fast_s
     assert ratio >= 5.0, f"gap-aware pipeline only {ratio:.1f}x over scalar"

@@ -5,16 +5,20 @@ its utilization exceeds 50 %; an unbroken sequence of hot samples is a
 burst; a µburst is a burst shorter than 1 ms.  Durations are measured in
 sampling periods times the sampling interval, so a single hot sample at
 25 µs granularity is a 25 µs burst.
+
+Every extractor here is a few lines over one run-extraction core,
+:func:`_burst_runs`, so the clean and the gap-aware analyses cannot
+drift apart: on a trace without gaps they are the same computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.analysis.runs import interior_run_lengths, run_lengths
-from repro.core.kernels import scalar_enabled, scalar_hot_mask
+from repro.analysis.runs import run_bounds
 from repro.core.samples import CounterTrace
 from repro.errors import AnalysisError
 from repro.units import ms
@@ -26,6 +30,14 @@ HOT_THRESHOLD = 0.5
 MICROBURST_LIMIT_NS = ms(1)
 
 
+def check_burst_params(interval_ns: int, threshold: float = HOT_THRESHOLD) -> None:
+    """The parameter checks every burst extractor applies."""
+    if interval_ns <= 0:
+        raise AnalysisError("interval must be positive")
+    if not 0.0 < threshold < 1.0:
+        raise AnalysisError(f"threshold {threshold} outside (0, 1)")
+
+
 def hot_mask(utilization: np.ndarray, threshold: float = HOT_THRESHOLD) -> np.ndarray:
     """Boolean hot/not-hot classification of per-interval utilization."""
     utilization = np.asarray(utilization, dtype=np.float64)
@@ -33,8 +45,6 @@ def hot_mask(utilization: np.ndarray, threshold: float = HOT_THRESHOLD) -> np.nd
         raise AnalysisError("hot_mask expects a 1-D utilization series")
     if not 0.0 < threshold < 1.0:
         raise AnalysisError(f"threshold {threshold} outside (0, 1)")
-    if scalar_enabled():
-        return scalar_hot_mask(utilization, threshold)
     return utilization > threshold
 
 
@@ -43,32 +53,17 @@ def trace_hot_mask(trace: CounterTrace, threshold: float = HOT_THRESHOLD) -> np.
     return hot_mask(trace.utilization(), threshold)
 
 
-def burst_durations_ns(
-    mask: np.ndarray,
-    interval_ns: int,
-    include_boundary: bool = True,
-) -> np.ndarray:
-    """Durations of all bursts in a hot mask.
-
-    ``include_boundary=False`` drops bursts clipped by the window edges
-    (their true duration is unknown); the paper's windows are 2 minutes
-    against microsecond bursts, so the choice is immaterial there, but it
-    matters for short test windows.
-    """
-    if interval_ns <= 0:
-        raise AnalysisError("interval must be positive")
-    if include_boundary:
-        lengths = run_lengths(mask, True)
-    else:
-        lengths = interior_run_lengths(mask, True)
-    return lengths * interval_ns
+def burst_durations_ns(mask: np.ndarray, interval_ns: int) -> np.ndarray:
+    """Durations of all bursts in a hot mask, window-clipped ones included
+    (the paper's windows are 2 minutes against microsecond bursts)."""
+    check_burst_params(interval_ns)
+    return _burst_runs(np.asarray(mask, dtype=bool), interval_ns).durations_ns
 
 
 def interburst_gaps_ns(mask: np.ndarray, interval_ns: int) -> np.ndarray:
     """Durations of gaps *between* bursts (boundary gaps excluded, Fig 4)."""
-    if interval_ns <= 0:
-        raise AnalysisError("interval must be positive")
-    return interior_run_lengths(mask, False) * interval_ns
+    check_burst_params(interval_ns)
+    return _burst_runs(np.asarray(mask, dtype=bool), interval_ns).gaps_ns
 
 
 def time_in_bursts_fraction(mask: np.ndarray) -> float:
@@ -114,24 +109,72 @@ class BurstStats:
         return float((self.durations_ns == self.interval_ns).mean())
 
 
+class _BurstRuns(NamedTuple):
+    """What the burst core extracts from one series."""
+
+    durations_ns: np.ndarray
+    gaps_ns: np.ndarray
+    pooled_mask: np.ndarray  # hot mask of the observed intervals only
+    n_segments: int
+    n_clipped: int  # observed bursts touching a gap
+
+
+def _burst_runs(
+    hot: np.ndarray, interval_ns: int, observed: np.ndarray | None = None
+) -> _BurstRuns:
+    """The one burst core: run-length arithmetic on a hot mask.
+
+    ``observed`` (default: every interval) marks the intervals the
+    sampler actually saw.  Unobserved intervals split the series into
+    segments: they are forced cold, so no burst crosses one, and a cold
+    run bordering one is not an inter-burst gap.  The result equals
+    extracting every segment on its own and pooling in order, without
+    materializing a segment.
+    """
+    starts, stops = run_bounds(hot if observed is None else hot & observed)
+    durations = (stops - starts).astype(np.int64) * interval_ns
+    # Inter-burst gaps: the cold stretches between consecutive bursts
+    # (a cold run at a window edge has a burst on one side only), minus
+    # any stretch that holds an unobserved interval.
+    gaps = (starts[1:] - stops[:-1]).astype(np.int64) * interval_ns
+    if observed is None:
+        return _BurstRuns(durations, gaps, hot, 1, 0)
+    unobserved = np.concatenate(([0], np.cumsum(~observed, dtype=np.int64)))
+    gaps = gaps[unobserved[starts[1:]] == unobserved[stops[:-1]]]
+    # A burst is clipped when it touches a segment edge that borders a
+    # gap.  A segment that is hot end to end holds one burst touching
+    # both such edges; it counts once.
+    seg_starts, seg_stops = run_bounds(observed)
+    k = len(seg_starts)
+    order = np.arange(k)
+    left = (order > 0) & hot[seg_starts]
+    right = (order < k - 1) & hot[seg_stops - 1]
+    hot_csum = np.concatenate(([0], np.cumsum(hot, dtype=np.int64)))
+    whole = (hot_csum[seg_stops] - hot_csum[seg_starts]) == (seg_stops - seg_starts)
+    n_clipped = int((left | right).sum()) + int((left & right & ~whole).sum())
+    return _BurstRuns(durations, gaps, hot[observed], k, n_clipped)
+
+
+def _summarize(runs: _BurstRuns, interval_ns: int) -> BurstStats:
+    return BurstStats(
+        n_bursts=len(runs.durations_ns),
+        n_samples=len(runs.pooled_mask),
+        interval_ns=interval_ns,
+        durations_ns=runs.durations_ns,
+        gaps_ns=runs.gaps_ns,
+        hot_fraction=time_in_bursts_fraction(runs.pooled_mask),
+        microburst_fraction=microburst_fraction(runs.durations_ns),
+    )
+
+
 def extract_bursts(
     utilization: np.ndarray,
     interval_ns: int,
     threshold: float = HOT_THRESHOLD,
 ) -> BurstStats:
     """Full burst summary of one utilization series."""
-    mask = hot_mask(utilization, threshold)
-    durations = burst_durations_ns(mask, interval_ns)
-    gaps = interburst_gaps_ns(mask, interval_ns)
-    return BurstStats(
-        n_bursts=len(durations),
-        n_samples=len(mask),
-        interval_ns=interval_ns,
-        durations_ns=durations,
-        gaps_ns=gaps,
-        hot_fraction=time_in_bursts_fraction(mask),
-        microburst_fraction=microburst_fraction(durations),
-    )
+    check_burst_params(interval_ns, threshold)
+    return _summarize(_burst_runs(hot_mask(utilization, threshold), interval_ns), interval_ns)
 
 
 def extract_bursts_from_trace(
@@ -139,14 +182,11 @@ def extract_bursts_from_trace(
 ) -> BurstStats:
     """Burst summary straight from a byte-counter trace.
 
-    Uses the median sampling interval as the nominal period; traces with
+    Uses the trace's nominal (median) sampling interval; traces with
     misses have slightly longer intervals for the missed spans, which the
     per-interval utilization computation already accounts for.
     """
-    intervals = trace.interval_durations_ns()
-    if len(intervals) == 0:
-        raise AnalysisError(f"trace {trace.name!r} too short for burst analysis")
-    nominal = int(np.median(intervals))
+    nominal = trace.nominal_interval_ns()
     return extract_bursts(trace.utilization(), nominal, threshold)
 
 
@@ -190,107 +230,6 @@ def burst_cdf_delta_bound(
     return min(1.0, clip_term + dkw_term)
 
 
-def _count_clipped_bursts(masks: list[np.ndarray]) -> int:
-    """Distinct observed bursts touching a gap-adjacent segment edge.
-
-    A burst is clipped when it touches a side of a segment that borders
-    a gap (segment interiors are exact; trace start/end are ordinary
-    window boundaries, same as the clean analysis).  A burst spanning an
-    *entire* segment starts exactly at one split point and ends at the
-    next, but it is still one clipped burst — counting both edges would
-    double-count it and inflate the reported CDF bound.
-    """
-    n_clipped = 0
-    last = len(masks) - 1
-    for i, mask in enumerate(masks):
-        if len(mask) == 0:
-            continue
-        left = i > 0 and bool(mask[0])
-        right = i < last and bool(mask[-1])
-        if left and right and bool(mask.all()):
-            n_clipped += 1
-        else:
-            n_clipped += int(left) + int(right)
-    return n_clipped
-
-
-def _run_bounds(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, stops) of every maximal True run of a boolean array."""
-    padded = np.concatenate(([False], mask, [False]))
-    diff = np.diff(padded.astype(np.int8))
-    return np.flatnonzero(diff == 1), np.flatnonzero(diff == -1)
-
-
-def _gap_aware_core_segmented(
-    trace: CounterTrace, nominal: int, threshold: float, tolerance: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Reference implementation: materialize segment traces and pool.
-
-    Returns ``(durations_ns, gaps_ns, pooled_mask, n_segments,
-    n_clipped)``.  This is the oracle the vectorized core is verified
-    against, and the path taken under ``REPRO_SCALAR=1``.
-    """
-    segments = trace.split_at_gaps(nominal, tolerance)
-    if not segments:
-        raise AnalysisError(f"trace {trace.name!r} has no analyzable segment")
-    masks = [hot_mask(segment.utilization(), threshold) for segment in segments]
-    durations = np.concatenate([burst_durations_ns(m, nominal) for m in masks])
-    gaps = np.concatenate([interburst_gaps_ns(m, nominal) for m in masks])
-    pooled_mask = np.concatenate(masks)
-    return durations, gaps, pooled_mask, len(segments), _count_clipped_bursts(masks)
-
-
-def _gap_aware_core_vectorized(
-    trace: CounterTrace, nominal: int, threshold: float, tolerance: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Vectorized gap-aware core: no segment traces are materialized.
-
-    Works entirely in interval space: gap intervals split the trace into
-    maximal non-gap stretches (exactly the segments
-    :meth:`~repro.core.samples.CounterTrace.split_at_gaps` would build),
-    and every statistic is derived from the full-trace utilization and
-    gap masks with run-length arithmetic.  Equivalence with
-    :func:`_gap_aware_core_segmented` is asserted exactly in
-    ``tests/property/test_kernel_equivalence.py``.
-    """
-    util = trace.utilization()
-    hot = hot_mask(util, threshold)
-    ok = ~trace.missing_interval_mask(nominal, tolerance)
-    n = len(hot)
-    if not ok.any():
-        raise AnalysisError(f"trace {trace.name!r} has no analyzable segment")
-    effective_hot = hot & ok
-    # Bursts: hot runs never cross a gap interval (it is forced cold),
-    # which is precisely the per-segment extraction, pooled in order.
-    durations = run_lengths(effective_hot, True) * nominal
-    # Inter-burst gaps: cold runs bounded by hot intervals on both sides
-    # *within one stretch* — a neighbor that is a gap interval (or the
-    # trace boundary) disqualifies the run, same as interior_run_lengths
-    # on the segment mask.
-    cold = ~hot & ok
-    cold_starts, cold_stops = _run_bounds(cold)
-    interior = (cold_starts > 0) & (cold_stops < n)
-    left_neighbor = np.clip(cold_starts - 1, 0, max(n - 1, 0))
-    right_neighbor = np.clip(cold_stops, 0, max(n - 1, 0))
-    interior &= effective_hot[left_neighbor] & effective_hot[right_neighbor]
-    gaps = (cold_stops - cold_starts)[interior] * nominal
-    pooled_mask = hot[ok]
-    # Clipped-burst count with the same one-per-burst semantics as
-    # _count_clipped_bursts: a stretch that is entirely hot holds a
-    # single burst touching both of its gap-adjacent edges.
-    ok_starts, ok_stops = _run_bounds(ok)
-    k = len(ok_starts)
-    order = np.arange(k)
-    left = (order > 0) & hot[ok_starts]
-    right = (order < k - 1) & hot[ok_stops - 1]
-    hot_csum = np.concatenate(([0], np.cumsum(hot.astype(np.int64))))
-    whole = (hot_csum[ok_stops] - hot_csum[ok_starts]) == (ok_stops - ok_starts)
-    spanning = left & right & whole
-    n_clipped = int(spanning.sum())
-    n_clipped += int((left & ~spanning).sum()) + int((right & ~spanning).sum())
-    return durations, gaps, pooled_mask, k, n_clipped
-
-
 def extract_bursts_gap_aware(
     trace: CounterTrace,
     threshold: float = HOT_THRESHOLD,
@@ -306,35 +245,21 @@ def extract_bursts_gap_aware(
     bounds the shift of the burst-duration CDF relative to the unobserved
     full trace, so degraded figures come with an explicit error bar
     instead of a silent bias.
-
-    The default implementation is fully vectorized (one pass over the
-    interval arrays, no per-segment trace objects); ``REPRO_SCALAR=1``
-    selects the segment-materializing reference implementation instead.
     """
     nominal = trace.nominal_interval_ns()
-    if scalar_enabled():
-        core = _gap_aware_core_segmented(trace, nominal, threshold, tolerance)
-    else:
-        core = _gap_aware_core_vectorized(trace, nominal, threshold, tolerance)
-    durations, gaps, pooled_mask, n_segments, n_clipped = core
-    stats = BurstStats(
-        n_bursts=len(durations),
-        n_samples=len(pooled_mask),
-        interval_ns=nominal,
-        durations_ns=durations,
-        gaps_ns=gaps,
-        hot_fraction=time_in_bursts_fraction(pooled_mask),
-        microburst_fraction=microburst_fraction(durations),
-    )
+    observed = ~trace.missing_interval_mask(nominal, tolerance)
+    if not observed.any():
+        raise AnalysisError(f"trace {trace.name!r} has no analyzable segment")
+    runs = _burst_runs(hot_mask(trace.utilization(), threshold), nominal, observed)
     n_missing = trace.n_missing_instants(nominal)
     bound = 0.0
-    if n_missing > 0 or n_segments > 1:
-        bound = burst_cdf_delta_bound(len(durations), n_clipped)
+    if n_missing > 0 or runs.n_segments > 1:
+        bound = burst_cdf_delta_bound(len(runs.durations_ns), runs.n_clipped)
     return GapAwareBurstStats(
-        stats=stats,
-        n_segments=n_segments,
+        stats=_summarize(runs, nominal),
+        n_segments=runs.n_segments,
         n_missing_instants=n_missing,
-        n_clipped_bursts=n_clipped,
+        n_clipped_bursts=runs.n_clipped,
         coverage=trace.coverage_fraction(nominal),
         cdf_delta_bound=bound,
     )

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import scalar_ecdf_probs, scalar_enabled, scalar_sorted
 from repro.errors import AnalysisError
 
 
@@ -24,7 +23,7 @@ class EmpiricalCdf:
             raise AnalysisError("CDF of an empty sample is undefined")
         if np.any(~np.isfinite(samples)):
             raise AnalysisError("CDF sample contains non-finite values")
-        self._sorted = scalar_sorted(samples) if scalar_enabled() else np.sort(samples)
+        self._sorted = np.sort(samples)
         self._n = len(samples)
 
     def __len__(self) -> int:
@@ -39,10 +38,7 @@ class EmpiricalCdf:
 
     def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
         """P(X <= x)."""
-        if scalar_enabled():
-            result = scalar_ecdf_probs(self._sorted, np.asarray(x))
-        else:
-            result = np.searchsorted(self._sorted, np.asarray(x), side="right") / self._n
+        result = np.searchsorted(self._sorted, np.asarray(x), side="right") / self._n
         if np.isscalar(x):
             return float(result)
         return result

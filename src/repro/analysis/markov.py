@@ -9,6 +9,7 @@ means hot samples clump, refuting independent arrivals.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,22 @@ class TransitionMatrix:
     p10: float
     p11: float
     counts: tuple[tuple[int, int], tuple[int, int]]
+
+    @classmethod
+    def from_counts(cls, counts: Sequence[Sequence[int]]) -> "TransitionMatrix":
+        """The MLE from 2x2 transition counts: each row normalised by its
+        total, NaN for a source state never observed."""
+        (c00, c01), (c10, c11) = counts
+        from0 = c00 + c01
+        from1 = c10 + c11
+        nan = float("nan")
+        return cls(
+            p00=c00 / from0 if from0 else nan,
+            p01=c01 / from0 if from0 else nan,
+            p10=c10 / from1 if from1 else nan,
+            p11=c11 / from1 if from1 else nan,
+            counts=((c00, c01), (c10, c11)),
+        )
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.p00, self.p01], [self.p10, self.p11]])
@@ -67,15 +84,7 @@ def count_transitions(mask: np.ndarray) -> tuple[tuple[int, int], tuple[int, int
 
 def fit_transition_matrix(mask: np.ndarray) -> TransitionMatrix:
     """MLE transition matrix of a hot/not-hot series (Table 2)."""
-    counts = count_transitions(mask)
-    (c00, c01), (c10, c11) = counts
-    from0 = c00 + c01
-    from1 = c10 + c11
-    p00 = c00 / from0 if from0 else float("nan")
-    p01 = c01 / from0 if from0 else float("nan")
-    p10 = c10 / from1 if from1 else float("nan")
-    p11 = c11 / from1 if from1 else float("nan")
-    return TransitionMatrix(p00=p00, p01=p01, p10=p10, p11=p11, counts=counts)
+    return TransitionMatrix.from_counts(count_transitions(mask))
 
 
 def fit_pooled_transition_matrix(masks: list[np.ndarray]) -> TransitionMatrix:
@@ -89,21 +98,8 @@ def fit_pooled_transition_matrix(masks: list[np.ndarray]) -> TransitionMatrix:
         raise AnalysisError("no masks to pool")
     totals = np.zeros((2, 2), dtype=np.int64)
     for mask in masks:
-        (c00, c01), (c10, c11) = count_transitions(mask)
-        totals += np.array([[c00, c01], [c10, c11]])
-    from0 = totals[0].sum()
-    from1 = totals[1].sum()
-    p00 = totals[0, 0] / from0 if from0 else float("nan")
-    p01 = totals[0, 1] / from0 if from0 else float("nan")
-    p10 = totals[1, 0] / from1 if from1 else float("nan")
-    p11 = totals[1, 1] / from1 if from1 else float("nan")
-    return TransitionMatrix(
-        p00=p00,
-        p01=p01,
-        p10=p10,
-        p11=p11,
-        counts=((int(totals[0, 0]), int(totals[0, 1])), (int(totals[1, 0]), int(totals[1, 1]))),
-    )
+        totals += count_transitions(mask)
+    return TransitionMatrix.from_counts(totals.tolist())
 
 
 def burst_likelihood_ratio(mask: np.ndarray) -> float:

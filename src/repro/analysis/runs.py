@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kernels import scalar_enabled, scalar_run_lengths
 from repro.errors import AnalysisError
 
 
@@ -44,20 +43,24 @@ def runs_of(mask: np.ndarray) -> list[Run]:
     ]
 
 
-def run_lengths(mask: np.ndarray, value: bool) -> np.ndarray:
-    """Lengths of all maximal runs equal to ``value`` (vectorised)."""
+def run_bounds(mask: np.ndarray, value: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, stops)`` of every maximal run equal to ``value``, in order.
+
+    The one run-length primitive: run lengths, interior runs, burst
+    extraction and the streaming fold are all arithmetic on these bounds.
+    """
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 1:
-        raise AnalysisError("run_lengths expects a one-dimensional mask")
-    if len(mask) == 0:
-        return np.zeros(0, dtype=np.int64)
-    if scalar_enabled():
-        return scalar_run_lengths(mask, value)
-    target = mask == value
-    padded = np.concatenate(([False], target, [False]))
-    diff = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(diff == 1)
-    stops = np.flatnonzero(diff == -1)
+        raise AnalysisError("run extraction expects a one-dimensional mask")
+    padded = np.concatenate(([False], mask if value else ~mask, [False]))
+    # Edges alternate start, stop: the padding is outside every run.
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return edges[0::2], edges[1::2]
+
+
+def run_lengths(mask: np.ndarray, value: bool) -> np.ndarray:
+    """Lengths of all maximal runs equal to ``value`` (vectorised)."""
+    starts, stops = run_bounds(mask, value)
     return (stops - starts).astype(np.int64)
 
 
@@ -68,14 +71,6 @@ def interior_run_lengths(mask: np.ndarray, value: bool) -> np.ndarray:
     gap truncated by the start or end of the measurement window would
     bias the distribution downward, so Fig 4's analysis drops them.
     """
-    mask = np.asarray(mask, dtype=bool)
-    lengths = run_lengths(mask, value)
-    if len(lengths) == 0:
-        return lengths
-    drop_first = len(mask) > 0 and bool(mask[0]) == value
-    drop_last = len(mask) > 0 and bool(mask[-1]) == value
-    start = 1 if drop_first else 0
-    stop = len(lengths) - 1 if drop_last else len(lengths)
-    if stop <= start:
-        return np.zeros(0, dtype=np.int64)
-    return lengths[start:stop]
+    starts, stops = run_bounds(mask, value)
+    interior = (starts > 0) & (stops < len(mask))
+    return (stops - starts)[interior].astype(np.int64)

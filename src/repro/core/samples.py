@@ -14,11 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.kernels import (
-    scalar_deltas,
-    scalar_enabled,
-    scalar_missing_interval_mask,
-)
 from repro.errors import AnalysisError
 from repro.units import NS_PER_S
 
@@ -113,13 +108,10 @@ class CounterTrace:
             raise AnalysisError(
                 f"counter width {wrap_bits} not correctable in int64 arithmetic"
             )
-        if scalar_enabled():
-            deltas = scalar_deltas(self.values, wrap_bits)
-        else:
-            deltas = np.diff(self.values, axis=0)
-            if wrap_bits is not None:
-                period = np.int64(1) << int(wrap_bits)
-                deltas = np.where(deltas < 0, deltas + period, deltas)
+        deltas = np.diff(self.values, axis=0)
+        if wrap_bits is not None:
+            period = np.int64(1) << int(wrap_bits)
+            deltas = np.where(deltas < 0, deltas + period, deltas)
         if np.any(deltas < 0):
             raise AnalysisError(f"cumulative counter {self.name!r} went backwards")
         return deltas
@@ -149,10 +141,6 @@ class CounterTrace:
         nominal = nominal_interval_ns or self.nominal_interval_ns()
         if nominal <= 0:
             raise AnalysisError("nominal interval must be positive")
-        if scalar_enabled():
-            return scalar_missing_interval_mask(
-                self.interval_durations_ns(), nominal, tolerance
-            )
         return self.interval_durations_ns() > tolerance * nominal
 
     def n_missing_instants(self, nominal_interval_ns: int | None = None) -> int:
@@ -171,36 +159,6 @@ class CounterTrace:
             return 1.0
         missing = self.n_missing_instants(nominal_interval_ns)
         return len(intervals) / (len(intervals) + missing)
-
-    def split_at_gaps(
-        self, nominal_interval_ns: int | None = None, tolerance: float = 1.5
-    ) -> list["CounterTrace"]:
-        """Contiguous sub-traces separated by missing intervals.
-
-        Gap-tolerant analyses work segment by segment so a gap can never
-        fuse two bursts (or fabricate one long one) across missing data.
-        A trace with no gaps comes back whole.
-        """
-        mask = self.missing_interval_mask(nominal_interval_ns, tolerance)
-        if not mask.any():
-            return [self]
-        boundaries = np.flatnonzero(mask) + 1  # first sample of each new segment
-        segments: list[CounterTrace] = []
-        start = 0
-        for stop in [*boundaries.tolist(), len(self)]:
-            if stop - start >= 2 or (self.kind is not ValueKind.CUMULATIVE and stop > start):
-                segments.append(
-                    CounterTrace(
-                        timestamps_ns=self.timestamps_ns[start:stop],
-                        values=self.values[start:stop],
-                        kind=self.kind,
-                        name=self.name,
-                        rate_bps=self.rate_bps,
-                        meta=dict(self.meta),
-                    )
-                )
-            start = stop
-        return segments
 
     def rates_bps(self) -> np.ndarray:
         """Per-interval average throughput in bits/s (byte counters)."""

@@ -8,6 +8,13 @@ are read and keep only O(1)-size burst statistics.  This module provides
 that: an online burst detector with a logarithmic duration histogram and
 streaming transition counts, so the Table 2 / Fig 3 statistics of an
 arbitrarily long run fit in a few hundred bytes.
+
+Samples arrive in chunks of any size.  Each chunk is folded in with the
+batch primitives — :func:`~repro.analysis.bursts.hot_mask`,
+:func:`~repro.analysis.runs.run_bounds` and
+:func:`~repro.analysis.markov.count_transitions` — with no per-sample
+loop; only the open burst and the last hot/cold state carry from one
+chunk to the next, so any chunking reaches the same state.
 """
 
 from __future__ import annotations
@@ -16,13 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.markov import TransitionMatrix
+from repro.analysis.bursts import check_burst_params, hot_mask
+from repro.analysis.markov import TransitionMatrix, count_transitions
+from repro.analysis.runs import run_bounds
 from repro.errors import AnalysisError, ConfigError
 
 
 @dataclass(slots=True)
 class StreamingBurstStats:
-    """O(1)-memory burst statistics maintained sample by sample."""
+    """O(1)-memory burst statistics, folded in one chunk of samples at a time."""
 
     interval_ns: int
     threshold: float = 0.5
@@ -36,27 +45,53 @@ class StreamingBurstStats:
     _current_run: int = 0
     _previous_hot: int = -1  # -1 = no sample yet
 
+    def __post_init__(self) -> None:
+        check_burst_params(self.interval_ns, self.threshold)
+
     def update(self, utilization: float) -> None:
         """Feed one sample's utilization."""
-        hot = utilization > self.threshold
-        self.n_samples += 1
-        if hot:
-            self.n_hot += 1
-            self._current_run += 1
-        elif self._current_run:
-            self._close_burst()
-        if self._previous_hot >= 0:
-            self.transitions[self._previous_hot][int(hot)] += 1
-        self._previous_hot = int(hot)
+        self.update_many(np.array([utilization], dtype=np.float64))
 
     def update_many(self, utilization: np.ndarray) -> None:
-        for value in np.asarray(utilization, dtype=np.float64):
-            self.update(float(value))
+        """Feed a chunk of consecutive samples."""
+        hot = hot_mask(utilization, self.threshold)
+        n = len(hot)
+        if n == 0:
+            return
+        self.n_samples += n
+        self.n_hot += int(np.count_nonzero(hot))
+        if self._previous_hot >= 0:
+            self.transitions[self._previous_hot][int(hot[0])] += 1
+        if n >= 2:
+            for row, counts in zip(self.transitions, count_transitions(hot)):
+                row[0] += counts[0]
+                row[1] += counts[1]
+        self._previous_hot = int(hot[-1])
+        starts, stops = run_bounds(hot)
+        lengths = (stops - starts).astype(np.int64)
+        if self._current_run:
+            if hot[0]:
+                lengths[0] += self._current_run  # the open burst continues
+            else:
+                self._close_burst()
+        if len(lengths) and stops[-1] == n:
+            self._current_run = int(lengths[-1])  # still open at chunk end
+            lengths = lengths[:-1]
+        else:
+            self._current_run = 0
+        self._count_bursts(lengths)
+
+    def _count_bursts(self, lengths: np.ndarray) -> None:
+        """Bucket closed bursts of the given lengths (in periods)."""
+        # frexp's exponent is bit_length for positive integers.
+        buckets = np.minimum(np.frexp(lengths)[1] - 1, len(self.duration_buckets) - 1)
+        counts = np.bincount(buckets, minlength=len(self.duration_buckets))
+        for bucket, count in enumerate(counts.tolist()):
+            self.duration_buckets[bucket] += count
+        self.n_bursts += len(lengths)
 
     def _close_burst(self) -> None:
-        bucket = min(len(self.duration_buckets) - 1, self._current_run.bit_length() - 1)
-        self.duration_buckets[bucket] += 1
-        self.n_bursts += 1
+        self._count_bursts(np.array([self._current_run], dtype=np.int64))
         self._current_run = 0
 
     def finalize(self) -> None:
@@ -124,16 +159,7 @@ class StreamingBurstStats:
 
     def transition_matrix(self) -> TransitionMatrix:
         """The same MLE Table 2 computes, from streaming counts."""
-        (c00, c01), (c10, c11) = self.transitions
-        from0 = c00 + c01
-        from1 = c10 + c11
-        return TransitionMatrix(
-            p00=c00 / from0 if from0 else float("nan"),
-            p01=c01 / from0 if from0 else float("nan"),
-            p10=c10 / from1 if from1 else float("nan"),
-            p11=c11 / from1 if from1 else float("nan"),
-            counts=((c00, c01), (c10, c11)),
-        )
+        return TransitionMatrix.from_counts(self.transitions)
 
     def memory_bytes(self) -> int:
         """Upper bound on the state size shipped to the collector."""

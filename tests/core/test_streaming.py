@@ -57,6 +57,24 @@ class TestStreamingBurstStats:
         with pytest.raises(AnalysisError):
             stream.duration_quantile_ns(0.5)  # no bursts yet
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(interval_ns=0),
+            dict(interval_ns=-25_000),
+            dict(interval_ns=25_000, threshold=1.5),
+            dict(interval_ns=25_000, threshold=0.0),
+        ],
+    )
+    def test_parameters_validated_like_extract_bursts(self, kwargs):
+        """Parameters extract_bursts rejects are rejected up front, not
+        discovered later as a 0 ns quantile or an all-cold stream."""
+        threshold = kwargs.get("threshold", 0.5)
+        with pytest.raises(AnalysisError):
+            extract_bursts(np.array([0.9, 0.1]), kwargs["interval_ns"], threshold)
+        with pytest.raises(AnalysisError):
+            StreamingBurstStats(**kwargs)
+
     def test_duration_bucketing(self):
         stream = StreamingBurstStats(interval_ns=25_000)
         # bursts of length 1, 2, 4: buckets 0, 1, 2

@@ -2,29 +2,22 @@
 
 The analysis hot paths (wrap-corrected deltas, gap masks, run-length /
 burst extraction, ECDF construction and evaluation) run on numpy
-kernels; :mod:`repro.core.kernels` keeps naive pure-Python oracles of
-the same computations.  These property tests assert the two agree
+kernels; ``tests/oracles.py`` keeps naive pure-Python oracles of the
+same computations.  These property tests assert the two agree
 *exactly* — values and dtypes — on arbitrary traces, including counter
 wraparound, gaps at segment boundaries, and empty / one-sample inputs,
 so the fast paths can be optimized without silently changing results.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.analysis.bursts import (
-    _gap_aware_core_segmented,
-    _gap_aware_core_vectorized,
-    burst_durations_ns,
-    extract_bursts,
-    hot_mask,
-    interburst_gaps_ns,
-)
-from repro.analysis.cdf import EmpiricalCdf
-from repro.analysis.runs import interior_run_lengths, run_lengths
-from repro.core.kernels import (
+from oracles import (
+    gap_aware_core_segmented,
     scalar_deltas,
     scalar_ecdf_probs,
     scalar_hot_mask,
@@ -33,6 +26,17 @@ from repro.core.kernels import (
     scalar_run_lengths,
     scalar_sorted,
 )
+from repro.analysis.bursts import (
+    _burst_runs,
+    burst_durations_ns,
+    extract_bursts,
+    extract_bursts_from_trace,
+    extract_bursts_gap_aware,
+    hot_mask,
+    interburst_gaps_ns,
+)
+from repro.analysis.cdf import EmpiricalCdf
+from repro.analysis.runs import interior_run_lengths, run_lengths
 from repro.core.samples import CounterTrace, ValueKind
 from repro.units import gbps, us
 
@@ -185,17 +189,65 @@ def gappy_traces(draw):
 @settings(max_examples=300)
 @given(gappy_traces(), st.floats(0.1, 0.9))
 def test_gap_aware_core_equivalence(trace, threshold):
-    """The vectorized gap-aware core matches the segment-materializing
-    reference on arbitrary gappy traces: durations, inter-burst gaps,
-    pooled hot mask, segment count, and clipped-burst count."""
+    """The burst core, given the observed-interval mask, matches the
+    segment-materializing reference on arbitrary gappy traces:
+    durations, inter-burst gaps, pooled hot mask, segment count, and
+    clipped-burst count."""
     nominal = trace.nominal_interval_ns()
-    segmented = _gap_aware_core_segmented(trace, nominal, threshold, 1.5)
-    vectorized = _gap_aware_core_vectorized(trace, nominal, threshold, 1.5)
-    for left, right in zip(segmented, vectorized):
+    segmented = gap_aware_core_segmented(trace, nominal, threshold, 1.5)
+    observed = ~trace.missing_interval_mask(nominal, 1.5)
+    vectorized = _burst_runs(hot_mask(trace.utilization(), threshold), nominal, observed)
+    for left, right in zip(segmented, vectorized, strict=True):
         if isinstance(left, np.ndarray):
             assert_same(right, left)
         else:
             assert left == right
+    public = extract_bursts_gap_aware(trace, threshold)
+    assert_same(public.durations_ns, segmented[0])
+    assert_same(public.stats.gaps_ns, segmented[1])
+    assert public.n_segments == segmented[3]
+    assert public.n_clipped_bursts == segmented[4]
+
+
+@st.composite
+def gap_free_traces(draw):
+    """Byte traces whose intervals jitter within +-10 % of 25 us: never
+    a gap at the default tolerance, never an estimated missed instant."""
+    n = draw(st.integers(1, 200))
+    jitter = draw(st.lists(st.integers(-2_500, 2_500), min_size=n, max_size=n))
+    intervals = INTERVAL + np.asarray(jitter, dtype=np.int64)
+    util = np.asarray(
+        draw(st.lists(st.floats(0.0, 1.2, allow_nan=False), min_size=n, max_size=n))
+    )
+    bytes_per_interval = np.rint(util * gbps(10) * intervals / 8e9).astype(np.int64)
+    return CounterTrace(
+        timestamps_ns=np.concatenate(([0], np.cumsum(intervals))),
+        values=np.concatenate(([0], np.cumsum(bytes_per_interval))),
+        kind=ValueKind.CUMULATIVE,
+        name="clean",
+        rate_bps=gbps(10),
+    )
+
+
+@settings(max_examples=200)
+@given(gap_free_traces(), st.floats(0.05, 0.95))
+def test_gap_aware_reduces_to_clean_without_gaps(trace, threshold):
+    """On a gap-free trace the gap-aware extraction *is* the clean one:
+    every BurstStats field equal (arrays and dtypes included), one
+    segment, nothing clipped, a zero CDF bound."""
+    assert not trace.missing_interval_mask().any()
+    gap_aware = extract_bursts_gap_aware(trace, threshold)
+    clean = extract_bursts_from_trace(trace, threshold)
+    for field in dataclasses.fields(clean):
+        left = getattr(gap_aware.stats, field.name)
+        right = getattr(clean, field.name)
+        if isinstance(right, np.ndarray):
+            assert_same(left, right)
+        else:
+            assert type(left) is type(right) and left == right, field.name
+    assert gap_aware.n_segments == 1
+    assert gap_aware.n_clipped_bursts == 0
+    assert gap_aware.cdf_delta_bound == 0.0
 
 
 # -- empirical CDF ---------------------------------------------------------------
@@ -223,35 +275,3 @@ def test_cdf_evaluation_equivalence(samples, queries):
     assert_same(cdf(queries), scalar_ecdf_probs(cdf.values, queries))
     for x in queries[:5]:
         assert cdf(float(x)) == float(scalar_ecdf_probs(cdf.values, np.asarray(x)))
-
-
-# -- REPRO_SCALAR dispatch -------------------------------------------------------
-
-
-def test_scalar_escape_hatch_switches_pipeline(monkeypatch):
-    """REPRO_SCALAR=1 routes the full pipeline through the oracles and
-    produces identical results (spot check, not property-based)."""
-    rng = np.random.default_rng(11)
-    util = np.where(rng.random(400) < 0.3, 0.9, 0.1)
-    bytes_per_tick = np.rint(util * gbps(10) * INTERVAL / 8e9).astype(np.int64)
-    values = np.concatenate(([0], np.cumsum(bytes_per_tick)))
-    keep = rng.random(401) >= 0.1
-    keep[[0, -1]] = True
-    trace = CounterTrace(
-        timestamps_ns=INTERVAL * np.arange(401, dtype=np.int64)[keep],
-        values=values[keep],
-        kind=ValueKind.CUMULATIVE,
-        name="dispatch",
-        rate_bps=gbps(10),
-    )
-    from repro.analysis.bursts import extract_bursts_gap_aware
-
-    fast = extract_bursts_gap_aware(trace)
-    monkeypatch.setenv("REPRO_SCALAR", "1")
-    slow = extract_bursts_gap_aware(trace)
-    assert np.array_equal(fast.durations_ns, slow.durations_ns)
-    assert fast.stats.n_samples == slow.stats.n_samples
-    assert fast.stats.hot_fraction == slow.stats.hot_fraction
-    assert fast.n_segments == slow.n_segments
-    assert fast.n_clipped_bursts == slow.n_clipped_bursts
-    assert fast.cdf_delta_bound == slow.cdf_delta_bound

@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import scalar_streaming_update
 
 from repro.analysis import extract_bursts, fit_transition_matrix
 from repro.core.streaming import StreamingBurstStats
@@ -52,3 +53,44 @@ def test_quantiles_monotone(util, q):
     low = stream.duration_quantile_ns(min(q, 0.5))
     high = stream.duration_quantile_ns(max(q, 0.5))
     assert low <= high
+
+
+def streaming_state(stats: StreamingBurstStats) -> tuple:
+    return (
+        stats.duration_buckets,
+        stats.n_samples,
+        stats.n_hot,
+        stats.n_bursts,
+        stats.transitions,
+        stats._current_run,
+        stats._previous_hot,
+    )
+
+
+@given(
+    st.lists(st.floats(0.0, 1.0, allow_nan=False), max_size=300),
+    st.lists(st.integers(0, 300), max_size=12),
+    st.floats(0.05, 0.95),
+    st.booleans(),
+)
+@settings(max_examples=300)
+def test_chunked_fold_equals_one_call_and_oracle(values, cuts, threshold, finalize):
+    """Any chunking of a series across update_many calls — including one
+    update() per sample — reaches the same state as one call and as the
+    per-sample reference fold, open burst and last state included."""
+    util = np.asarray(values, dtype=np.float64)
+    fresh = [StreamingBurstStats(interval_ns=25_000, threshold=threshold) for _ in range(4)]
+    whole, chunked, single, reference = fresh
+    whole.update_many(util)
+    for chunk in np.split(util, sorted(min(c, len(util)) for c in cuts)):
+        chunked.update_many(chunk)
+    for value in values:
+        single.update(value)
+    scalar_streaming_update(reference, util)
+    if finalize:
+        for stats in fresh:
+            stats.finalize()
+    expected = streaming_state(reference)
+    assert streaming_state(whole) == expected
+    assert streaming_state(chunked) == expected
+    assert streaming_state(single) == expected

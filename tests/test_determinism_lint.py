@@ -1,4 +1,5 @@
-"""Determinism lint: no wall clocks inside the simulation packages.
+"""Determinism lint: no wall clocks inside the simulation packages, no
+environment-dependent analysis, no test code in the package.
 
 The telemetry contract (DESIGN.md §9) is that telemetry may *read* wall
 clocks but never feeds simulation state.  The cheapest way to hold that
@@ -9,6 +10,12 @@ would make traces depend on host speed.  Timing instrumentation for
 these layers lives one level up, on the backend boundary
 (``repro.backends.base.timed_window``), which this lint deliberately
 does not cover.
+
+The same reasoning covers ``src/repro/analysis/`` and ``src/repro/core/``:
+their results must depend on their inputs alone, so neither reads the
+process environment.  And nothing under ``src/`` imports from ``tests/``
+— the scalar reference oracles live there and must stay out of
+production paths.
 """
 
 import ast
@@ -16,8 +23,14 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "repro"
 LINTED_PACKAGES = ("netsim", "synth")
+ENV_FREE_PACKAGES = ("analysis", "core")
+
+#: Top-level names test code is importable under (``tests`` itself, or a
+#: module at its root such as ``oracles`` or ``conftest``).
+TEST_MODULES = frozenset({"tests"} | {path.stem for path in TESTS.glob("*.py")})
 
 #: ``time.<attr>()`` calls that read a host clock.
 BANNED_TIME_ATTRS = frozenset(
@@ -104,3 +117,91 @@ def test_lint_catches_known_bad_patterns(snippet):
 )
 def test_lint_allows_benign_patterns(snippet):
     assert not _violations_in_source(snippet, "fake.py")
+
+
+# -- environment reads and test imports ------------------------------------------
+
+
+def _env_reads_in_source(source: str, filename: str) -> list[str]:
+    found: list[str] = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            for alias in node.names:
+                if alias.name in ("environ", "getenv"):
+                    found.append(f"{filename}:{node.lineno}: from os import {alias.name}")
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in ("environ", "getenv")
+        ):
+            found.append(f"{filename}:{node.lineno}: os.{node.attr}")
+    return found
+
+
+def _test_imports_in_source(source: str, filename: str) -> list[str]:
+    found: list[str] = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] in TEST_MODULES:
+                found.append(f"{filename}:{node.lineno}: imports {name}")
+    return found
+
+
+def _scan(paths, check) -> list[str]:
+    found: list[str] = []
+    for path in paths:
+        relative = str(path.relative_to(SRC.parent.parent))
+        found.extend(check(path.read_text(), relative))
+    return found
+
+
+def test_no_environment_reads_in_analysis_or_core():
+    paths = [p for package in ENV_FREE_PACKAGES for p in sorted((SRC / package).rglob("*.py"))]
+    violations = _scan(paths, _env_reads_in_source)
+    assert not violations, (
+        "src/repro/analysis and src/repro/core must not read the process "
+        "environment (results depend on inputs alone):\n" + "\n".join(violations)
+    )
+
+
+def test_src_never_imports_test_code():
+    violations = _scan(sorted(SRC.rglob("*.py")), _test_imports_in_source)
+    assert not violations, (
+        "nothing under src/ may import from tests/:\n" + "\n".join(violations)
+    )
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "import os\nx = os.environ.get('A')",
+        "import os\nx = os.getenv('A')",
+        "from os import environ",
+        "from os import getenv as g",
+    ],
+)
+def test_env_lint_catches_known_bad_patterns(snippet):
+    assert _env_reads_in_source(snippet, "fake.py")
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    ["import tests.oracles", "from oracles import scalar_sorted", "from tests import oracles"],
+)
+def test_import_lint_catches_test_imports(snippet):
+    assert _test_imports_in_source(snippet, "fake.py")
+
+
+@pytest.mark.parametrize(
+    "snippet", ["import os\nx = os.path.join('a')", "from repro.analysis import runs"]
+)
+def test_lints_allow_benign_patterns(snippet):
+    assert not _env_reads_in_source(snippet, "fake.py")
+    assert not _test_imports_in_source(snippet, "fake.py")
