@@ -23,7 +23,6 @@ from repro.backends.base import (
 from repro.backends.netsim import NetsimBackend, NetsimScale
 from repro.backends.synth import SynthBackend
 from repro.errors import ConfigError
-from repro.synth.calibration import BASE_TICK_NS
 
 #: Registered backend factories, keyed by CLI name.
 BACKENDS = {
@@ -35,7 +34,6 @@ BACKENDS = {
 def resolve_backend(
     backend: MeasurementBackend | str | None,
     seed: int = 0,
-    tick_ns: int = BASE_TICK_NS,
 ) -> MeasurementBackend:
     """Turn a backend name (or ``None``, or an instance) into a backend.
 
@@ -45,17 +43,13 @@ def resolve_backend(
     experiment.
     """
     if backend is None:
-        return SynthBackend(seed=seed, tick_ns=tick_ns)
+        return SynthBackend(seed=seed)
     if isinstance(backend, str):
-        try:
-            factory = BACKENDS[backend]
-        except KeyError:
+        if backend not in BACKENDS:
             raise ConfigError(
                 f"unknown backend {backend!r}; available: {sorted(BACKENDS)}"
-            ) from None
-        if factory is SynthBackend:
-            return SynthBackend(seed=seed, tick_ns=tick_ns)
-        return factory(seed=seed)
+            )
+        return BACKENDS[backend](seed=seed)
     return backend
 
 

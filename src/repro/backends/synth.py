@@ -21,6 +21,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from repro.analysis.hotports import window_hot_port_counts
+from repro.analysis.mad import resample_utilization
 from repro.backends.base import DEFAULT_N_DOWNLINKS, DEFAULT_N_UPLINKS, timed_window
 from repro.core.campaign import CampaignWindow
 from repro.core.samples import CounterTrace, ValueKind
@@ -139,26 +141,14 @@ class SynthBackend:
         n_periods = util.shape[0] // period
         if n_periods == 0:
             raise ConfigError("window shorter than one 300us hotness period")
-        hot = (
-            util[: n_periods * period]
-            .reshape(n_periods, period, util.shape[1])
-            .mean(axis=1)
-            > 0.5
-        )
         periods_per_window = max(1, int(BUFFER_WINDOW_NS // (self.tick_ns * period)))
-        n_windows = max(1, n_periods // periods_per_window)
-        counts = np.array(
-            [
-                hot[i * periods_per_window : (i + 1) * periods_per_window]
-                .any(axis=0)
-                .sum()
-                for i in range(n_windows)
-            ]
+        counts = window_hot_port_counts(
+            resample_utilization(util, period), min(periods_per_window, n_periods)
         )
         model = BufferResponseModel.for_app(_profile(window.rack_type), n_ports=util.shape[1])
         peaks = model.sample(counts, rng)
         scale = 1 << 20
-        timestamps = window.start_ns + (1 + np.arange(n_windows, dtype=np.int64)) * (
+        timestamps = window.start_ns + (1 + np.arange(len(counts), dtype=np.int64)) * (
             self.tick_ns * period * periods_per_window
         )
         return CounterTrace(

@@ -180,15 +180,13 @@ class RetryPolicy:
 class CampaignResult:
     """Collected traces keyed by window, with per-window outcomes.
 
-    ``traces`` stays parallel to ``plan.windows`` — failed windows hold an
-    empty dict — so positional pairing is always valid.  ``outcomes`` is
-    present for runs executed by the resilient runner (``None`` for
-    results assembled by hand).
+    ``traces`` and ``outcomes`` stay parallel to ``plan.windows`` — failed
+    windows hold an empty dict — so positional pairing is always valid.
     """
 
     plan: CampaignPlan
     traces: list[dict[str, CounterTrace]]
-    outcomes: list[WindowOutcome] | None = None
+    outcomes: list[WindowOutcome]
 
     def _check_aligned(self) -> None:
         if len(self.traces) != len(self.plan.windows):
@@ -224,12 +222,8 @@ class CampaignResult:
 
     def status_counts(self) -> dict[str, int]:
         counts = {status.value: 0 for status in WindowStatus}
-        if self.outcomes is None:
-            counts[WindowStatus.OK.value] = sum(1 for t in self.traces if t)
-            counts[WindowStatus.FAILED.value] = sum(1 for t in self.traces if not t)
-        else:
-            for outcome in self.outcomes:
-                counts[outcome.status.value] += 1
+        for outcome in self.outcomes:
+            counts[outcome.status.value] += 1
         return counts
 
     @property
@@ -249,6 +243,10 @@ _MANIFEST_VERSION = 1
 
 class MeasurementCampaign:
     """Executes a plan against a measurement backend, resiliently.
+
+    This is the per-shard runner: everything in the package drives a
+    campaign through :class:`repro.core.parallel.ParallelCampaign`, which
+    runs one of these per shard.
 
     Parameters
     ----------
@@ -281,11 +279,6 @@ class MeasurementCampaign:
         self.retry = retry
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         self._sleep = sleep
-
-    @property
-    def source(self) -> WindowSource:
-        """Backward-compatible alias for :attr:`backend`."""
-        return self.backend
 
     # -- checkpointing -----------------------------------------------------------
 

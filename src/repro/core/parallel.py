@@ -5,10 +5,12 @@ hours; this module gives the campaign runner the same shape.  A
 :class:`~repro.core.campaign.CampaignPlan` is sharded by (rack, window
 range) — a deterministic layout that depends only on the plan, never on
 the worker count — and each shard is executed by a full
-:class:`~repro.core.campaign.MeasurementCampaign` (the PR-1 retry,
-timeout, and JSONL-checkpoint machinery, unchanged) inside a
+:class:`~repro.core.campaign.MeasurementCampaign` (its retry, timeout,
+and JSONL-checkpoint machinery, unchanged) inside a
 ``ProcessPoolExecutor`` worker.  Shard results are merged back in plan
-order.
+order.  :class:`ParallelCampaign` is the package's one campaign driver:
+a serial run is ``workers=1``, which takes the same shard/merge path
+in-process.
 
 Determinism contract
 --------------------
@@ -102,28 +104,19 @@ def shard_plan(
     return tuple(shards)
 
 
-def _source_fault_stats(source: WindowSource) -> dict[str, int] | None:
-    """Fault-injection tally of a source, when it carries an injector."""
-    stats = getattr(getattr(source, "injector", None), "stats", None)
-    as_dict = getattr(stats, "as_dict", None)
-    return as_dict() if callable(as_dict) else None
-
-
 def _collect_shard(
     windows: tuple[CampaignWindow, ...],
     backend: WindowSource,
     retry: RetryPolicy | None,
     checkpoint_dir: str | None,
     resume: bool,
-) -> tuple[
-    list[WindowOutcome], list[dict[str, CounterTrace]], dict[str, int] | None, dict
-]:
+) -> tuple[list[WindowOutcome], list[dict[str, CounterTrace]], dict]:
     """Run one shard as an ordinary resilient campaign (worker entry point).
 
     Module-level so it pickles; the ``backend`` argument arrives as a
     process-local copy in pool workers, which is exactly what keeps
-    mutable backend state (retry attempt counters, fault tallies)
-    shard-local and order-independent.
+    mutable backend state (retry attempt counters) shard-local and
+    order-independent.
 
     Telemetry runs inside :func:`~repro.telemetry.scoped_registry`, so
     the returned snapshot holds exactly this shard's increments —
@@ -138,7 +131,7 @@ def _collect_shard(
     with scoped_registry() as registry:
         result = campaign.run(resume=resume)
         snapshot = registry.snapshot()
-    return result.outcomes or [], result.traces, _source_fault_stats(backend), snapshot
+    return result.outcomes, result.traces, snapshot
 
 
 class ParallelCampaign:
@@ -162,9 +155,9 @@ class ParallelCampaign:
     max_windows_per_shard:
         Optional cap splitting one rack's windows across several shards.
 
-    After :meth:`run`, :attr:`fault_stats` holds the aggregated fault
-    tally across shards when the source carries a
-    :class:`~repro.faults.FaultInjector` (``None`` otherwise).
+    Telemetry recorded inside every shard — including the ``faults.*``
+    counters of a fault-injecting source — is merged into the ambient
+    registry at join, so it is the same serial and sharded.
     """
 
     def __init__(
@@ -184,12 +177,6 @@ class ParallelCampaign:
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         self.workers = workers
         self.shards = shard_plan(plan, max_windows_per_shard)
-        self.fault_stats: dict[str, int] | None = None
-
-    @property
-    def source(self) -> WindowSource:
-        """Backward-compatible alias for :attr:`backend`."""
-        return self.backend
 
     # -- checkpoint layout -------------------------------------------------------
 
@@ -258,9 +245,6 @@ class ParallelCampaign:
                     results[shard.shard_id] = _collect_shard(
                         *self._shard_args(shard, resume)
                     )
-                # In-process shards share one source instance, so per-shard
-                # tallies are cumulative snapshots: keep only the final one.
-                self.fault_stats = _source_fault_stats(self.backend)
             else:
                 with ProcessPoolExecutor(
                     max_workers=min(self.workers, len(self.shards))
@@ -273,20 +257,8 @@ class ParallelCampaign:
                     }
                     for future in as_completed(futures):
                         results[futures[future].shard_id] = future.result()
-                self._aggregate_fault_stats(results)
             self._merge_telemetry(results)
         return self._merge(results)
-
-    def _aggregate_fault_stats(self, results: dict[int, tuple]) -> None:
-        totals: dict[str, int] = {}
-        seen = False
-        for _, _, stats, _ in results.values():
-            if stats is None:
-                continue
-            seen = True
-            for key, value in stats.items():
-                totals[key] = totals.get(key, 0) + value
-        self.fault_stats = totals if seen else None
 
     def _merge_telemetry(self, results: dict[int, tuple]) -> None:
         """Fold every shard's telemetry snapshot into the ambient registry.
@@ -299,14 +271,14 @@ class ParallelCampaign:
             len(results)
         )
         for shard_id in sorted(results):
-            registry.merge_snapshot(results[shard_id][3])
+            registry.merge_snapshot(results[shard_id][2])
 
     def _merge(self, results: dict[int, tuple]) -> CampaignResult:
         n = len(self.plan.windows)
         outcomes: list[WindowOutcome | None] = [None] * n
         traces: list[dict[str, CounterTrace] | None] = [None] * n
         for shard in self.shards:
-            shard_outcomes, shard_traces, _, _ = results[shard.shard_id]
+            shard_outcomes, shard_traces, _ = results[shard.shard_id]
             for local, global_index in enumerate(shard.indices):
                 outcome = shard_outcomes[local]
                 outcomes[global_index] = WindowOutcome(

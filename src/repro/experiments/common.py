@@ -3,8 +3,8 @@
 Every fig/tab experiment gets its data through the helpers here, which
 run the *campaign pipeline* over a :mod:`repro.backends` measurement
 backend: build a plan, execute it with
-:class:`~repro.core.campaign.MeasurementCampaign` (or the sharded
-parallel runner), and hand the traces/rack windows to analysis.  The
+:class:`~repro.core.parallel.ParallelCampaign` (``workers=1`` is the
+serial run), and hand the traces/rack windows to analysis.  The
 ``backend`` argument accepted throughout is a backend name
 (``"synth"`` / ``"netsim"``), an instance, or ``None`` for the synth
 default.
@@ -18,9 +18,8 @@ import numpy as np
 
 from repro.analysis.report import format_comparison
 from repro.backends import MeasurementBackend, rack_window_spec, resolve_backend, single_port_plan
-from repro.core.campaign import MeasurementCampaign
+from repro.core.parallel import ParallelCampaign
 from repro.core.samples import CounterTrace
-from repro.synth.calibration import BASE_TICK_NS
 from repro.synth.rackmodel import RackWindow
 from repro.units import seconds
 
@@ -87,7 +86,6 @@ def app_byte_traces(
     seed: int,
     n_windows: int,
     window_s: float,
-    tick_ns: int = BASE_TICK_NS,
     backend: MeasurementBackend | str | None = None,
     workers: int = 1,
 ) -> list[CounterTrace]:
@@ -100,14 +98,9 @@ def app_byte_traces(
     processes; the backends' window-keyed seeding keeps the result
     byte-identical to the serial run.
     """
-    resolved = resolve_backend(backend, seed=seed, tick_ns=tick_ns)
+    resolved = resolve_backend(backend, seed=seed)
     plan = single_port_plan(app, n_windows, seconds(window_s), seed=seed)
-    if workers > 1:
-        from repro.core.parallel import ParallelCampaign
-
-        result = ParallelCampaign(plan, resolved, workers=workers).run()
-    else:
-        result = MeasurementCampaign(plan, resolved).run()
+    result = ParallelCampaign(plan, resolved, workers=workers).run()
     traces: list[CounterTrace] = []
     for _window, window_traces in result.iter_windows():
         traces.extend(window_traces.values())
@@ -120,10 +113,9 @@ def histogram_window(
     duration_s: float,
     backend: MeasurementBackend | str | None = None,
     experiment: str = "hist",
-    tick_ns: int = BASE_TICK_NS,
 ) -> dict[str, CounterTrace]:
     """One window's byte trace + packet-size-histogram trace (Fig 5)."""
-    resolved = resolve_backend(backend, seed=seed, tick_ns=tick_ns)
+    resolved = resolve_backend(backend, seed=seed)
     spec = rack_window_spec(app, seconds(duration_s), experiment=experiment)
     return resolved.sample_histogram_window(spec)
 
@@ -136,7 +128,6 @@ def rack_window(
     experiment: str = "rack",
     index: int = 0,
     activity: float = 1.0,
-    tick_ns: int = BASE_TICK_NS,
 ) -> RackWindow:
     """One whole-rack utilization window (Figs 7-10).
 
@@ -144,7 +135,7 @@ def rack_window(
     and each activity span within a figure — draws an independent
     deterministic stream from the backend.
     """
-    resolved = resolve_backend(backend, seed=seed, tick_ns=tick_ns)
+    resolved = resolve_backend(backend, seed=seed)
     spec = rack_window_spec(app, seconds(duration_s), experiment=experiment, index=index)
     return resolved.sample_rack_window(spec, activity=activity)
 

@@ -16,7 +16,8 @@ import numpy as np
 from repro.analysis import extract_bursts, extract_bursts_from_trace, fit_transition_matrix
 from repro.analysis.bursts import trace_hot_mask
 from repro.backends import NetsimBackend, NetsimScale
-from repro.core.campaign import CampaignPlan, CampaignWindow, MeasurementCampaign
+from repro.core.campaign import CampaignPlan, CampaignWindow
+from repro.core.parallel import ParallelCampaign
 from repro.data.published import PAPER
 from repro.experiments.common import APPS, ExperimentResult
 from repro.synth import APP_PROFILES, OnOffGenerator
@@ -54,8 +55,7 @@ def _netsim_stats(app: str, seed: int, measure_ms: float):
         start_ns=0,
         duration_ns=int(ms(measure_ms)),
     )
-    campaign = MeasurementCampaign(CampaignPlan(windows=(window,)), backend)
-    outcome = campaign.run()
+    outcome = ParallelCampaign(CampaignPlan(windows=(window,)), backend).run()
     ((_, traces),) = list(outcome.iter_windows())
     trace = traces[f"{port}.tx_bytes"]
     stats = extract_bursts_from_trace(trace)

@@ -13,8 +13,7 @@ Usage sketch::
     plan = FaultPlan(seed=7, window_failure_rate=0.05, wrap_bits=32)
     injector = FaultInjector(plan)
     backend = FaultyWindowSource(resolve_backend("synth", seed=0), injector)
-    result = MeasurementCampaign(plan=campaign_plan, backend=backend,
-                                 retry=RetryPolicy()).run()
+    result = ParallelCampaign(campaign_plan, backend, retry=RetryPolicy()).run()
 
 ``FaultyWindowSource`` wraps *any* measurement backend — synth, netsim,
 or another wrapper — because it only relies on the ``sample_window``

@@ -28,7 +28,7 @@ from repro.synth.onoff import OnOffGenerator, correlated_masks
 from repro.synth.rackmodel import RackSynthesizer, RackWindow
 from repro.synth.buffermodel import BufferResponseModel
 from repro.synth.dropmodel import CoarseLinkPopulation, DropEpisodeModel
-from repro.synth.dataset import SyntheticCampaignSource, synthesize_app_windows
+from repro.synth.dataset import SyntheticCampaignSource
 
 __all__ = [
     "APP_PROFILES",
@@ -46,5 +46,4 @@ __all__ = [
     "CoarseLinkPopulation",
     "DropEpisodeModel",
     "SyntheticCampaignSource",
-    "synthesize_app_windows",
 ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.campaign import CampaignPlan, CampaignWindow, MeasurementCampaign
+from repro.core.campaign import CampaignPlan, CampaignWindow
 from repro.core.samples import CounterTrace
 from repro.core.seeding import window_rng
 from repro.errors import ConfigError
@@ -89,71 +89,3 @@ def default_plan(
         window_duration_ns=window_duration_ns,
     )
 
-
-def synthesize_app_windows(
-    app: str,
-    n_windows: int,
-    window_duration_ns: int,
-    seed: int = 0,
-    tick_ns: int = BASE_TICK_NS,
-    port: str | None = None,
-    rate_bps: float = gbps(10),
-    n_downlinks: int = 16,
-    n_uplinks: int = 4,
-) -> list[CounterTrace]:
-    """Convenience: ``n_windows`` single-port byte traces for one app.
-
-    This is the fast path used by the Fig 3/4/6 and Table 2 benchmarks.
-    ``port=None`` mirrors the paper's campaign, which measured one
-    *random* port per rack — so roughly 80 % of windows are downlinks.
-    Port choice goes through the crc32 site-key scheme of
-    :mod:`repro.core.seeding` (keyed per ``(seed, app, window index)``),
-    the same discipline the backends use for trace content, so the
-    schedule is independent of call order and worker count.
-    """
-    # Imported lazily: repro.backends wraps this module, so a module-level
-    # import would be circular.
-    from repro.backends.base import single_port_plan
-
-    source = SyntheticCampaignSource(seed=seed, tick_ns=tick_ns, rate_bps=rate_bps)
-    plan = single_port_plan(
-        app,
-        n_windows,
-        window_duration_ns,
-        seed=seed,
-        port=port,
-        n_downlinks=n_downlinks,
-        n_uplinks=n_uplinks,
-    )
-    traces = []
-    for window in plan.windows:
-        traces.extend(source.sample_window(window).values())
-    return traces
-
-
-def run_campaign(
-    plan: CampaignPlan,
-    seed: int = 0,
-    tick_ns: int = BASE_TICK_NS,
-    workers: int = 1,
-    backend=None,
-):
-    """Execute a plan against a measurement backend (synth by default).
-
-    ``workers > 1`` shards the plan by rack across a process pool; the
-    per-window seeding contract of the backends guarantees the result is
-    byte-identical to the serial run.  ``backend`` accepts a backend name
-    (``"synth"`` / ``"netsim"``) or instance; ``None`` keeps the
-    historical synthetic source path.
-    """
-    if backend is None:
-        resolved = SyntheticCampaignSource(seed=seed, tick_ns=tick_ns)
-    else:
-        from repro.backends import resolve_backend
-
-        resolved = resolve_backend(backend, seed=seed, tick_ns=tick_ns)
-    if workers > 1:
-        from repro.core.parallel import ParallelCampaign
-
-        return ParallelCampaign(plan, resolved, workers=workers).run()
-    return MeasurementCampaign(plan, resolved).run()

@@ -17,12 +17,12 @@ import pytest
 
 from repro.analysis.bursts import extract_bursts_from_trace
 from repro.backends import NetsimBackend, NetsimScale, SynthBackend
-from repro.backends.base import single_port_plan
+from repro.backends.base import rack_window_spec, single_port_plan
 from repro.core.campaign import MeasurementCampaign, RetryPolicy, WindowStatus
 from repro.core.parallel import ParallelCampaign
 from repro.experiments.common import app_byte_traces
 from repro.faults import FaultInjector, FaultPlan, FaultyWindowSource
-from repro.synth.dataset import synthesize_app_windows
+from repro.synth.dataset import SyntheticCampaignSource
 from repro.units import ms, seconds
 
 #: crc32 over (values || timestamps) of every trace of
@@ -54,6 +54,15 @@ GOLDEN_NETSIM_HIST_CRCS = {
     "web": 0x93E4DA7D,
     "cache": 0x0BC46082,
     "hadoop": 0xBDC75F44,
+}
+#: Synth-backend buffer golden CRCs: ``SynthBackend(seed=0)`` sampling
+#: ``rack_window_spec(app, ms(d), experiment="buffer", index=i)`` for
+#: ``(i, d)`` in ``enumerate((1, 20, 130))`` — windows shorter than,
+#: and spanning several, 50 ms watermark readings.
+GOLDEN_SYNTH_BUFFER_CRCS = {
+    "web": 0x0F962B25,
+    "cache": 0x23AFB8FD,
+    "hadoop": 0xC4D0B05C,
 }
 GOLDEN_NETSIM_BUFFER_CRCS = {
     "web": 0x214AAF97,
@@ -91,7 +100,12 @@ class TestSynthParity:
     @pytest.mark.parametrize("app", sorted(GOLDEN_SYNTH_CRCS))
     def test_campaign_pipeline_matches_direct_path(self, app):
         via_campaign = app_byte_traces(app, seed=0, n_windows=4, window_s=1.0)
-        direct = synthesize_app_windows(app, 4, seconds(1.0), seed=0)
+        source = SyntheticCampaignSource(seed=0)
+        direct = [
+            trace
+            for window in single_port_plan(app, 4, seconds(1.0), seed=0).windows
+            for trace in source.sample_window(window).values()
+        ]
         assert_traces_equal(via_campaign, direct)
 
     @pytest.mark.parametrize("app", sorted(GOLDEN_SYNTH_CRCS))
@@ -103,6 +117,17 @@ class TestSynthParity:
         serial = app_byte_traces("web", seed=0, n_windows=4, window_s=1.0, workers=1)
         sharded = app_byte_traces("web", seed=0, n_windows=4, window_s=1.0, workers=4)
         assert_traces_equal(serial, sharded)
+
+    @pytest.mark.parametrize("app", sorted(GOLDEN_SYNTH_BUFFER_CRCS))
+    def test_buffer_trace_crcs(self, app):
+        backend = SynthBackend(seed=0)
+        crc = 0
+        for index, duration_ms in enumerate((1, 20, 130)):
+            window = rack_window_spec(app, ms(duration_ms), experiment="buffer", index=index)
+            trace = backend.sample_buffer_window(window)
+            crc = zlib.crc32(trace.values.tobytes(), crc)
+            crc = zlib.crc32(trace.timestamps_ns.tobytes(), crc)
+        assert crc == GOLDEN_SYNTH_BUFFER_CRCS[app]
 
     def test_explicit_backend_instance_accepted(self):
         by_name = app_byte_traces("cache", seed=0, n_windows=2, window_s=1.0,

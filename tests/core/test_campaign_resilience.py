@@ -159,20 +159,11 @@ class TestTimeout:
 class TestResultAlignment:
     def test_misaligned_traces_rejected_not_zip_truncated(self):
         plan = make_plan(4)
-        short = CampaignResult(plan=plan, traces=[{}, {}])
+        short = CampaignResult(plan=plan, traces=[{}, {}], outcomes=[])
         with pytest.raises(AnalysisError):
             short.by_type("web")
         with pytest.raises(AnalysisError):
             list(short.iter_windows())
-
-    def test_handmade_result_status_counts(self):
-        plan = make_plan(3)
-        result = CampaignResult(
-            plan=plan, traces=[window_trace(plan.windows[0]), {}, {}]
-        )
-        counts = result.status_counts()
-        assert counts[WindowStatus.OK.value] == 1
-        assert counts[WindowStatus.FAILED.value] == 2
 
 
 class TestCheckpointResume:

@@ -8,10 +8,8 @@ import pytest
 
 from repro.cli import _netsim_kwargs, _scale_kwargs
 from repro.errors import ConfigError
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, app_byte_traces
 from repro.netsim import RackConfig
-from repro.synth.dataset import synthesize_app_windows
-from repro.units import seconds
 
 
 class TestExperimentResult:
@@ -74,7 +72,7 @@ class TestSiteKeyedSeeding:
     pinned by trace CRCs so reseeding regressions are loud."""
 
     #: crc32 over (values || timestamps) of
-    #: ``synthesize_app_windows(app, 4, seconds(1), seed=0)``
+    #: ``app_byte_traces(app, seed=0, n_windows=4, window_s=1.0)``
     GOLDEN_CRCS = {
         "web": 0x4BABC719,
         "cache": 0x3BC94665,
@@ -91,14 +89,14 @@ class TestSiteKeyedSeeding:
 
     @pytest.mark.parametrize("app", sorted(GOLDEN_CRCS))
     def test_golden_trace_crcs(self, app):
-        traces = synthesize_app_windows(app, 4, seconds(1), seed=0)
+        traces = app_byte_traces(app, seed=0, n_windows=4, window_s=1.0)
         assert self.crc(traces) == self.GOLDEN_CRCS[app]
 
     def test_port_schedule_is_window_keyed(self):
         # The port drawn for window i must not depend on how many windows
         # the run asks for — identity, not draw order, keys the choice.
-        names_long = [t.name for t in synthesize_app_windows("web", 6, seconds(1), seed=2)]
-        names_short = [t.name for t in synthesize_app_windows("web", 3, seconds(1), seed=2)]
+        names_long = [t.name for t in app_byte_traces("web", seed=2, n_windows=6, window_s=1.0)]
+        names_short = [t.name for t in app_byte_traces("web", seed=2, n_windows=3, window_s=1.0)]
         assert names_long[:3] == names_short
 
 

@@ -98,22 +98,30 @@ class TestExtChaos:
             assert ks <= bound
 
     def test_checkpointed_run_resumes(self, tmp_path):
-        kwargs = dict(
-            seed=3,
-            fault_rate=0.3,
-            n_windows=2,
-            window_s=0.5,
-            campaign_racks_per_app=1,
-            campaign_hours=2,
-            campaign_window_s=0.5,
-            checkpoint_dir=str(tmp_path / "ckpt"),
-        )
-        first = run_experiment("ext-chaos", **kwargs)
-        resumed = run_experiment("ext-chaos", resume=True, **kwargs)
-        assert (tmp_path / "ckpt" / "manifest.jsonl").exists()
-        assert rows_dict(resumed)["windows ok / degraded / failed"] == rows_dict(
-            first
-        )["windows ok / degraded / failed"]
+        # A resumed run re-collects nothing, so every figure it reports —
+        # retries included — must come from the checkpointed outcomes.
+        for workers in (1, 2):
+            checkpoint = tmp_path / f"ckpt-w{workers}"
+            kwargs = dict(
+                seed=3,
+                fault_rate=0.3,
+                n_windows=2,
+                window_s=0.5,
+                campaign_racks_per_app=1,
+                campaign_hours=2,
+                campaign_window_s=0.5,
+                checkpoint_dir=str(checkpoint),
+                workers=workers,
+            )
+            first = rows_dict(run_experiment("ext-chaos", **kwargs))
+            resumed = rows_dict(run_experiment("ext-chaos", resume=True, **kwargs))
+            assert (checkpoint / "shards.json").exists()
+            assert resumed["windows ok / degraded / failed"] == first[
+                "windows ok / degraded / failed"
+            ]
+            recovered = "transient faults recovered by retry"
+            assert int(first[recovered]) > 0
+            assert resumed[recovered] == first[recovered], f"workers={workers}"
 
 
 class TestEcmpLinkWeights:

@@ -14,8 +14,16 @@ from repro.core.campaign import MeasurementCampaign, RetryPolicy
 from repro.core.parallel import ParallelCampaign, shard_plan
 from repro.core.traceio import _crc
 from repro.errors import CollectionError, ConfigError
+from repro.experiments import run_experiment
+from repro.experiments.registry import (
+    EXPERIMENTS,
+    accepts_param,
+    get_experiment,
+    supports_workers,
+)
 from repro.faults import FaultInjector, FaultPlan, FaultyWindowSource
 from repro.synth.dataset import SyntheticCampaignSource, default_plan
+from repro.telemetry.metrics import scoped_registry
 from repro.units import seconds
 
 SEED = 7
@@ -89,18 +97,21 @@ class TestGoldenIdentity:
         retry = RetryPolicy(max_attempts=3, backoff_s=0.0)
         serial = MeasurementCampaign(plan, faulty_source(), retry=retry).run()
         golden, golden_outcomes = digest(serial), outcome_digest(serial)
-        fault_stats = []
+        fault_counters = []
         for workers in (1, 4):
-            campaign = ParallelCampaign(
-                plan, faulty_source(), retry=retry, workers=workers
-            )
-            parallel = campaign.run()
+            with scoped_registry() as registry:
+                parallel = ParallelCampaign(
+                    plan, faulty_source(), retry=retry, workers=workers
+                ).run()
+                counters = registry.snapshot()["counters"]
             assert digest(parallel) == golden, f"workers={workers} diverged"
             assert outcome_digest(parallel) == golden_outcomes
-            fault_stats.append(campaign.fault_stats)
-        # The aggregated fault tally is itself order-independent.
-        assert fault_stats[0] == fault_stats[1]
-        assert fault_stats[0] is not None
+            fault_counters.append(
+                {name: value for name, value in counters.items() if name.startswith("faults.")}
+            )
+        # The merged fault counters are themselves order-independent.
+        assert fault_counters[0] == fault_counters[1]
+        assert fault_counters[0].get("faults.window_faults", 0) > 0
 
     def test_max_windows_per_shard_does_not_change_results(self):
         plan = small_plan()
@@ -222,10 +233,28 @@ class TestShardLayout:
             shard_plan(plan, max_windows_per_shard=0)
 
 
-def test_run_campaign_workers_flag_matches_serial():
-    plan = small_plan()
-    from repro.synth.dataset import run_campaign
+#: Small-scale overrides for the per-experiment contract; each runner gets
+#: only the keys its signature takes.
+SMALL_SCALE = dict(
+    n_windows=4,
+    window_s=0.5,
+    campaign_racks_per_app=1,
+    campaign_hours=2,
+    campaign_window_s=0.5,
+)
+CAMPAIGN_EXPERIMENTS = [eid for eid in EXPERIMENTS if supports_workers(eid)]
 
-    serial = run_campaign(plan, seed=SEED)
-    parallel = run_campaign(plan, seed=SEED, workers=2)
-    assert digest(parallel) == digest(serial)
+
+def test_campaign_experiments_are_covered():
+    assert {"fig3", "fig4", "fig6", "tab2", "ext-cc", "ext-lb", "ext-chaos"} <= set(
+        CAMPAIGN_EXPERIMENTS
+    )
+
+
+@pytest.mark.parametrize("experiment_id", CAMPAIGN_EXPERIMENTS)
+def test_experiment_output_is_worker_count_invariant(experiment_id):
+    runner = get_experiment(experiment_id)
+    kwargs = {k: v for k, v in SMALL_SCALE.items() if accepts_param(runner, k)}
+    serial = run_experiment(experiment_id, seed=0, workers=1, **kwargs)
+    sharded = run_experiment(experiment_id, seed=0, workers=2, **kwargs)
+    assert sharded.to_dict(include_series=True) == serial.to_dict(include_series=True)

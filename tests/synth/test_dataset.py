@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.backends import single_port_plan
 from repro.core.campaign import CampaignWindow
+from repro.core.parallel import ParallelCampaign
 from repro.errors import ConfigError
-from repro.synth.dataset import (
-    SyntheticCampaignSource,
-    default_plan,
-    run_campaign,
-    synthesize_app_windows,
-)
+from repro.experiments.common import app_byte_traces
+from repro.synth.dataset import SyntheticCampaignSource, default_plan
 from repro.units import seconds
 
 
@@ -76,22 +74,24 @@ class TestDefaultPlan:
 
 class TestHelpers:
     def test_synthesize_app_windows(self):
-        traces = synthesize_app_windows("hadoop", 3, seconds(0.5), seed=2)
+        traces = app_byte_traces("hadoop", seed=2, n_windows=3, window_s=0.5)
         assert len(traces) == 3
         for trace in traces:
             assert trace.rate_bps > 0
 
     def test_fixed_port_override(self):
-        traces = synthesize_app_windows("web", 2, seconds(0.5), port="up1")
-        assert all(t.name == "up1.tx_bytes" for t in traces)
+        source = SyntheticCampaignSource()
+        plan = single_port_plan("web", 2, seconds(0.5), port="up1")
+        names = [name for w in plan.windows for name in source.sample_window(w)]
+        assert names == ["up1.tx_bytes"] * 2
 
     def test_zero_windows_rejected(self):
         with pytest.raises(ConfigError):
-            synthesize_app_windows("web", 0, seconds(1))
+            single_port_plan("web", 0, seconds(1))
 
     def test_run_campaign_end_to_end(self):
         plan = default_plan(racks_per_app=1, hours=2, window_duration_ns=seconds(0.5))
-        result = run_campaign(plan, seed=1)
+        result = ParallelCampaign(plan, SyntheticCampaignSource(seed=1)).run()
         assert len(result.traces) == 6
         for traces in result.traces:
             assert len(traces) == 1

@@ -16,6 +16,10 @@ their results must depend on their inputs alone, so neither reads the
 process environment.  And nothing under ``src/`` imports from ``tests/``
 — the scalar reference oracles live there and must stay out of
 production paths.
+
+Finally, there is one campaign driver: only ``repro.core.parallel``
+constructs a ``MeasurementCampaign`` (its per-shard runner), so serial,
+sharded and resumed runs all take the same path.
 """
 
 import ast
@@ -27,6 +31,9 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "repro"
 LINTED_PACKAGES = ("netsim", "synth")
 ENV_FREE_PACKAGES = ("analysis", "core")
+
+#: The one module allowed to construct a ``MeasurementCampaign``.
+CAMPAIGN_DRIVER = SRC / "core" / "parallel.py"
 
 #: Top-level names test code is importable under (``tests`` itself, or a
 #: module at its root such as ``oracles`` or ``conftest``).
@@ -205,3 +212,51 @@ def test_import_lint_catches_test_imports(snippet):
 def test_lints_allow_benign_patterns(snippet):
     assert not _env_reads_in_source(snippet, "fake.py")
     assert not _test_imports_in_source(snippet, "fake.py")
+
+
+# -- one campaign driver -----------------------------------------------------------
+
+
+def _campaign_constructions_in_source(source: str, filename: str) -> list[str]:
+    found: list[str] = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "MeasurementCampaign":
+            found.append(f"{filename}:{node.lineno}: MeasurementCampaign(...)")
+    return found
+
+
+def test_only_the_parallel_runner_constructs_campaigns():
+    paths = [p for p in sorted(SRC.rglob("*.py")) if p != CAMPAIGN_DRIVER]
+    violations = _scan(paths, _campaign_constructions_in_source)
+    assert not violations, (
+        "drive campaigns through repro.core.parallel.ParallelCampaign "
+        "(workers=1 is the serial run); only src/repro/core/parallel.py "
+        "may construct a MeasurementCampaign:\n" + "\n".join(violations)
+    )
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "MeasurementCampaign(plan, source).run()",
+        "from repro.core import campaign\ncampaign.MeasurementCampaign(plan, source)",
+    ],
+)
+def test_campaign_lint_catches_direct_construction(snippet):
+    assert _campaign_constructions_in_source(snippet, "fake.py")
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "ParallelCampaign(plan, source, workers=1).run()",
+        "from repro.core.campaign import MeasurementCampaign",
+        "x: MeasurementCampaign | None = None",
+    ],
+)
+def test_campaign_lint_allows_driver_use(snippet):
+    assert not _campaign_constructions_in_source(snippet, "fake.py")
