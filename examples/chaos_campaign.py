@@ -22,6 +22,7 @@ from repro.analysis import extract_bursts_gap_aware
 from repro.core.campaign import MeasurementCampaign, RetryPolicy, WindowStatus
 from repro.faults import FaultInjector, FaultPlan, FaultyWindowSource
 from repro.synth.dataset import SyntheticCampaignSource, default_plan
+from repro.telemetry.metrics import scoped_registry
 from repro.units import seconds
 
 
@@ -50,7 +51,7 @@ def make_source(seed, rate):
             wrap_bits=32,
         )
     )
-    return FaultyWindowSource(SyntheticCampaignSource(seed=seed), injector), injector
+    return FaultyWindowSource(SyntheticCampaignSource(seed=seed), injector)
 
 
 def main(argv=None) -> int:
@@ -68,22 +69,26 @@ def main(argv=None) -> int:
           f"{args.rate:.0%} injected window-failure rate\n")
 
     # -- reference: one uninterrupted chaos run -------------------------------
-    source, injector = make_source(args.seed, args.rate)
-    reference = MeasurementCampaign(plan, source, retry=retry).run()
+    # Every injection is counted in the telemetry registry as faults.<kind>.
+    with scoped_registry() as registry:
+        reference = MeasurementCampaign(
+            plan, make_source(args.seed, args.rate), retry=retry
+        ).run()
+    faults = registry.snapshot()["counters"]
     counts = reference.status_counts()
     print("uninterrupted run:")
     print(f"  ok / degraded / failed: {counts[WindowStatus.OK.value]} / "
           f"{counts[WindowStatus.DEGRADED.value]} / "
           f"{counts[WindowStatus.FAILED.value]}")
     print(f"  completion: {reference.completion_fraction:.1%}  "
-          f"(transient faults retried: {injector.stats.transient_faults}, "
-          f"persistent: {injector.stats.persistent_faults})")
+          f"(transient faults retried: {faults.get('faults.transient_faults', 0)}, "
+          f"persistent: {faults.get('faults.persistent_faults', 0)})")
 
     # -- the same campaign, crashed and resumed -------------------------------
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = Path(tmp) / "ckpt"
         interrupted = InterruptAfter(
-            make_source(args.seed, args.rate)[0], n_calls=len(plan.windows) // 3
+            make_source(args.seed, args.rate), n_calls=len(plan.windows) // 3
         )
         try:
             MeasurementCampaign(
@@ -95,7 +100,7 @@ def main(argv=None) -> int:
                   f"({n_done - 1} windows checkpointed)")
 
         resumed = MeasurementCampaign(
-            plan, make_source(args.seed, args.rate)[0], retry=retry,
+            plan, make_source(args.seed, args.rate), retry=retry,
             checkpoint_dir=ckpt,
         ).run(resume=True)
 

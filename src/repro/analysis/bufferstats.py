@@ -89,16 +89,3 @@ def occupancy_by_hot_ports(
         result[int(count)] = BoxStats.from_samples(group)
     return result
 
-
-def occupancy_scaling_slope(groups: dict[int, BoxStats]) -> float:
-    """Least-squares slope of median occupancy vs. hot-port count.
-
-    A crude scalar for "buffer occupancy scales with the number of hot
-    ports more drastically in Hadoop than in Web/Cache" (Sec 6.4).
-    """
-    if len(groups) < 2:
-        raise AnalysisError("need at least two hot-port groups")
-    xs = np.array(sorted(groups), dtype=np.float64)
-    ys = np.array([groups[int(x)].median for x in xs])
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(slope)

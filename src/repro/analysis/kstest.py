@@ -17,6 +17,9 @@ import numpy as np
 
 from repro.errors import AnalysisError
 
+#: Fewest inter-arrival times :func:`exponential_ks_test` accepts.
+KS_MIN_SAMPLES = 8
+
 
 @dataclass(frozen=True, slots=True)
 class KsResult:
@@ -61,8 +64,8 @@ def exponential_ks_test(samples: np.ndarray) -> KsResult:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise AnalysisError("KS test expects a 1-D sample")
-    if len(samples) < 8:
-        raise AnalysisError("KS test needs at least 8 samples")
+    if len(samples) < KS_MIN_SAMPLES:
+        raise AnalysisError(f"KS test needs at least {KS_MIN_SAMPLES} samples")
     if np.any(samples <= 0):
         raise AnalysisError("inter-arrival times must be positive")
     mean = samples.mean()

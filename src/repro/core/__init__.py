@@ -27,9 +27,7 @@ from repro.core.campaign import (
 )
 from repro.core.parallel import ParallelCampaign, Shard, shard_plan
 from repro.core.seeding import site_rng, stable_site_key, window_rng
-from repro.core.snmp import CoarseSample, coarse_resample
-from repro.core.adaptive import AdaptiveConfig, AdaptiveSampler, AdaptiveStats
-from repro.core.streaming import ReservoirSampler, StreamingBurstStats
+from repro.core.streaming import StreamingBurstStats
 
 __all__ = [
     "CounterTrace",
@@ -58,11 +56,5 @@ __all__ = [
     "site_rng",
     "stable_site_key",
     "window_rng",
-    "CoarseSample",
-    "coarse_resample",
-    "AdaptiveConfig",
-    "AdaptiveSampler",
-    "AdaptiveStats",
-    "ReservoirSampler",
     "StreamingBurstStats",
 ]

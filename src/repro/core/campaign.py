@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -292,37 +293,52 @@ class MeasurementCampaign:
         return self.checkpoint_dir / f"window_{index:05d}.npz"
 
     def _load_checkpoint(self) -> dict[int, WindowOutcome]:
-        """Replay the manifest; corrupt entries are re-collected."""
+        """Replay the manifest; corrupt entries are re-collected.
+
+        A crash mid-append leaves a torn last record (no trailing
+        newline).  It is cut off, so its window counts as not done and
+        the next append starts on a fresh line.
+        """
         done: dict[int, WindowOutcome] = {}
         if self.checkpoint_dir is None or not self._manifest_path.exists():
             return done
+        data = self._manifest_path.read_bytes()
+        complete = data[: data.rfind(b"\n") + 1]
+        if len(complete) < len(data):
+            _log.warning(
+                "dropping torn last record of %s (%d bytes)",
+                self._manifest_path, len(data) - len(complete),
+            )
+            if complete:
+                os.truncate(self._manifest_path, len(complete))
+            else:
+                self._manifest_path.unlink()
         digest = self.plan.digest()
-        with self._manifest_path.open() as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if record.get("kind") == "header":
-                    if record.get("plan_digest") != digest:
-                        raise CollectionError(
-                            f"checkpoint at {self.checkpoint_dir} belongs to a "
-                            "different campaign plan "
-                            f"({record.get('plan_digest')} != {digest})"
-                        )
-                    continue
-                index = int(record["index"])
-                if not 0 <= index < len(self.plan.windows):
+        for line in complete.decode().splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            record = json.loads(line)
+            if record.get("kind") == "header":
+                if record.get("plan_digest") != digest:
                     raise CollectionError(
-                        f"checkpoint references window {index} outside the plan"
+                        f"checkpoint at {self.checkpoint_dir} belongs to a "
+                        "different campaign plan "
+                        f"({record.get('plan_digest')} != {digest})"
                     )
-                done[index] = WindowOutcome(
-                    index=index,
-                    window=self.plan.windows[index],
-                    status=WindowStatus(record["status"]),
-                    attempts=int(record.get("attempts", 1)),
-                    error=record.get("error", ""),
+                continue
+            index = int(record["index"])
+            if not 0 <= index < len(self.plan.windows):
+                raise CollectionError(
+                    f"checkpoint references window {index} outside the plan"
                 )
+            done[index] = WindowOutcome(
+                index=index,
+                window=self.plan.windows[index],
+                status=WindowStatus(record["status"]),
+                attempts=int(record.get("attempts", 1)),
+                error=record.get("error", ""),
+            )
         return done
 
     def _append_manifest(self, record: dict) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 from repro.analysis.bursts import check_burst_params, hot_mask
 from repro.analysis.markov import TransitionMatrix, count_transitions
 from repro.analysis.runs import run_bounds
-from repro.errors import AnalysisError, ConfigError
+from repro.errors import AnalysisError
 
 
 @dataclass(slots=True)
@@ -165,36 +165,3 @@ class StreamingBurstStats:
         """Upper bound on the state size shipped to the collector."""
         return 8 * (len(self.duration_buckets) + 8)
 
-
-class ReservoirSampler:
-    """Uniform reservoir of raw samples for spot-check distributions.
-
-    Complements :class:`StreamingBurstStats`: keeps an unbiased
-    fixed-size sample of per-interval utilization so the collector can
-    still draw Fig 6-style CDFs without storing the full stream.
-    """
-
-    def __init__(self, capacity: int, rng: np.random.Generator) -> None:
-        if capacity <= 0:
-            raise ConfigError("reservoir capacity must be positive")
-        self.capacity = capacity
-        self.rng = rng
-        self._reservoir: list[float] = []
-        self.n_seen = 0
-
-    def offer(self, value: float) -> None:
-        self.n_seen += 1
-        if len(self._reservoir) < self.capacity:
-            self._reservoir.append(value)
-            return
-        index = int(self.rng.integers(0, self.n_seen))
-        if index < self.capacity:
-            self._reservoir[index] = value
-
-    def offer_many(self, values: np.ndarray) -> None:
-        for value in np.asarray(values, dtype=np.float64):
-            self.offer(float(value))
-
-    @property
-    def sample(self) -> np.ndarray:
-        return np.asarray(self._reservoir)

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.analysis.bursts import extract_bursts_from_trace
 from repro.analysis.cdf import EmpiricalCdf
-from repro.analysis.kstest import exponential_ks_test
+from repro.analysis.kstest import KS_MIN_SAMPLES, exponential_ks_test
 from repro.analysis.report import cdf_series
 from repro.data.published import PAPER
 from repro.experiments.common import (
@@ -43,25 +43,32 @@ def run(
         gaps = np.concatenate(
             [extract_bursts_from_trace(trace).gaps_ns for trace in traces]
         ).astype(np.float64)
-        cdf = EmpiricalCdf(gaps)
-        below_100us = float(cdf(100_000.0))
         paper_small = PAPER.fig4_small_gap_fraction.get(app)
-        result.add(
-            f"{app}: gaps < 100us",
-            f"~{paper_small}" if paper_small else "(lower than web/cache)",
-            round(below_100us, 3),
-        )
-        result.add(
-            f"{app}: p99 gap (ms)",
-            "up to 100s of ms tail",
-            round(to_us(int(cdf.p99)) / 1000.0, 2),
-        )
+        rows = [
+            (
+                f"{app}: gaps < 100us",
+                f"~{paper_small}" if paper_small else "(lower than web/cache)",
+            ),
+            (f"{app}: p99 gap (ms)", "up to 100s of ms tail"),
+            (
+                f"{app}: KS p-value vs exponential",
+                f"< {PAPER.fig4_poisson_p_value_max} (reject Poisson)",
+            ),
+        ]
+        if len(gaps) < KS_MIN_SAMPLES:
+            # A short window (netsim) can hold too few bursts to test.
+            for metric, paper in rows:
+                result.add(metric, paper, f"n/a ({len(gaps)} gaps)")
+            continue
+        cdf = EmpiricalCdf(gaps)
         ks = exponential_ks_test(gaps)
-        result.add(
-            f"{app}: KS p-value vs exponential",
-            f"< {PAPER.fig4_poisson_p_value_max} (reject Poisson)",
+        measured = [
+            round(float(cdf(100_000.0)), 3),
+            round(to_us(int(cdf.p99)) / 1000.0, 2),
             f"{ks.p_value:.2g} (stat {ks.statistic:.3f})",
-        )
+        ]
+        for (metric, paper), value in zip(rows, measured):
+            result.add(metric, paper, value)
         result.add_series(
             f"{app}_gap_cdf_us", [(x / 1000.0, f) for x, f in cdf_series(cdf)]
         )

@@ -39,7 +39,6 @@ def run(
             ("ingress", window.uplink_ingress_util),
         ):
             fine = normalized_mad_series(resample_utilization(util, ticks_per_40us))
-            coarse = normalized_mad_series(resample_utilization(util, ticks_per_1s))
             fine_cdf = EmpiricalCdf(fine)
             if direction == "egress":
                 result.add(
@@ -53,11 +52,13 @@ def run(
                         f"~{PAPER.fig7_hadoop_p90_mad}",
                         round(fine_cdf.p90, 3),
                     )
-                result.add(
-                    f"{app} egress: median MAD @1s",
-                    "balanced (small)",
-                    round(float(np.median(coarse)) if len(coarse) else 0.0, 3),
-                )
+                if window.n_ticks < ticks_per_1s:
+                    # A short window (netsim) holds no whole 1 s period.
+                    coarse_median = "n/a (window < 1 s)"
+                else:
+                    coarse = normalized_mad_series(resample_utilization(util, ticks_per_1s))
+                    coarse_median = round(float(np.median(coarse)), 3)
+                result.add(f"{app} egress: median MAD @1s", "balanced (small)", coarse_median)
             else:
                 result.add(
                     f"{app} ingress vs egress median MAD @40us",

@@ -3,10 +3,10 @@
 The paper's measurement framework is explicitly best-effort: the polling
 loop misses instants under load (Table 1) and the analysis is built so
 "timestamps survive misses".  This package makes that degradation — plus
-the failure modes production telemetry actually sees (collection RPC
-failures, 32-bit counter wraparound, switch-CPU contention, collector
-backpressure, storage corruption) — injectable on demand, driven by an
-explicit numpy RNG so every chaos run replays exactly.
+collection RPC failures and 32-bit counter wraparound — injectable on
+demand, driven by an explicit numpy RNG so every chaos run replays
+exactly.  Every injection is counted as a ``faults.<kind>`` telemetry
+counter; there is no other tally.
 
 Usage sketch::
 
@@ -20,21 +20,13 @@ or another wrapper — because it only relies on the ``sample_window``
 protocol the campaign itself consumes.
 """
 
-from repro.faults.injector import (
-    COUNTER_BITS_META,
-    FaultInjector,
-    FaultStats,
-    FaultyTimingModel,
-)
-from repro.faults.plan import DROP_POLICIES, FaultPlan
+from repro.faults.injector import COUNTER_BITS_META, FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.faults.sources import FaultyWindowSource, window_site
 
 __all__ = [
     "COUNTER_BITS_META",
-    "DROP_POLICIES",
     "FaultInjector",
-    "FaultStats",
-    "FaultyTimingModel",
     "FaultyWindowSource",
     "FaultPlan",
     "window_site",

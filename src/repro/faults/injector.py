@@ -3,14 +3,12 @@
 The :class:`FaultInjector` turns a :class:`~repro.faults.plan.FaultPlan`
 into concrete injection decisions.  Every decision is drawn from a numpy
 generator seeded by ``(plan.seed, crc32(site))`` where the *site* names
-the affected window, counter, or file — never from shared mutable RNG
+the affected window or counter — never from shared mutable RNG
 state — so the same plan produces the same faults regardless of call
 order, retries, or checkpoint/resume.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,43 +22,14 @@ from repro.telemetry.metrics import get_registry
 COUNTER_BITS_META = "counter_bits"
 
 
-@dataclass(slots=True)
-class FaultStats:
-    """Tally of everything an injector actually did."""
-
-    window_faults: int = 0
-    transient_faults: int = 0
-    persistent_faults: int = 0
-    reads_failed: int = 0
-    samples_dropped: int = 0
-    traces_wrapped: int = 0
-    latency_spikes: int = 0
-    archives_truncated: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "window_faults": self.window_faults,
-            "transient_faults": self.transient_faults,
-            "persistent_faults": self.persistent_faults,
-            "reads_failed": self.reads_failed,
-            "samples_dropped": self.samples_dropped,
-            "traces_wrapped": self.traces_wrapped,
-            "latency_spikes": self.latency_spikes,
-            "archives_truncated": self.archives_truncated,
-        }
-
-
 class FaultInjector:
     """Executes a fault plan with order-independent determinism."""
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.stats = FaultStats()
 
     def _tally(self, kind: str, amount: int = 1) -> None:
-        """Bump one :class:`FaultStats` field and its mirror counter
-        ``faults.<kind>`` in the telemetry registry."""
-        setattr(self.stats, kind, getattr(self.stats, kind) + amount)
+        """Count one injection as ``faults.<kind>`` in the telemetry registry."""
         get_registry().counter(f"faults.{kind}", "fault injections by kind").inc(amount)
 
     # -- keyed randomness --------------------------------------------------------
@@ -93,30 +62,6 @@ class FaultInjector:
             else:
                 self._tally("persistent_faults")
         return True if not transient else attempt == 0
-
-    # -- read-level faults -------------------------------------------------------
-
-    def read_failure_mask(self, site: str, n_reads: int) -> np.ndarray:
-        """Boolean mask of reads that fail (sample absent) at this site."""
-        if n_reads < 0:
-            raise FaultInjectionError(f"n_reads must be >= 0, got {n_reads}")
-        if self.plan.read_failure_rate == 0.0 or n_reads == 0:
-            return np.zeros(n_reads, dtype=bool)
-        mask = self.rng_for(f"reads|{site}").random(n_reads) < self.plan.read_failure_rate
-        self._tally("reads_failed", int(mask.sum()))
-        return mask
-
-    def latency_spikes_ns(self, site: str, n_reads: int) -> np.ndarray:
-        """Extra per-read latency from injected CPU contention."""
-        if n_reads < 0:
-            raise FaultInjectionError(f"n_reads must be >= 0, got {n_reads}")
-        extra = np.zeros(n_reads, dtype=np.int64)
-        if self.plan.latency_spike_rate == 0.0 or n_reads == 0:
-            return extra
-        hit = self.rng_for(f"spikes|{site}").random(n_reads) < self.plan.latency_spike_rate
-        extra[hit] = self.plan.latency_spike_ns
-        self._tally("latency_spikes", int(hit.sum()))
-        return extra
 
     # -- trace-level faults ------------------------------------------------------
 
@@ -176,54 +121,3 @@ class FaultInjector:
     def degrade_trace(self, trace: CounterTrace, site: str) -> CounterTrace:
         """Apply all trace-level faults (loss then wraparound)."""
         return self.wrap_trace(self.drop_samples(trace, site))
-
-    # -- storage faults ----------------------------------------------------------
-
-    def maybe_truncate_archive(self, path, site: str) -> bool:
-        """Truncate a written archive with probability ``truncate_rate``.
-
-        Returns True when the file was damaged.  Used to prove the
-        traceio integrity checks catch storage corruption instead of
-        silently parsing a shorter trace.
-        """
-        rng = self.rng_for(f"truncate|{site}")
-        if rng.random() >= self.plan.truncate_rate:
-            return False
-        data = path.read_bytes()
-        if len(data) < 2:
-            return False
-        cut = int(rng.integers(1, len(data)))
-        path.write_bytes(data[:cut])
-        self._tally("archives_truncated")
-        return True
-
-
-class FaultyTimingModel:
-    """ASIC timing model decorated with injected contention spikes.
-
-    Duck-types :class:`repro.core.asic.AsicTimingModel` so it can be
-    dropped into a :class:`~repro.core.sampler.SamplerConfig`.
-    """
-
-    def __init__(self, base, injector: FaultInjector, site: str = "sampler") -> None:
-        self.base = base
-        self.injector = injector
-        self.site = site
-        self._drawn = 0
-
-    def group_read_latency_ns(self, specs, rng, dedicated_core=True) -> int:
-        latency = self.base.group_read_latency_ns(specs, rng, dedicated_core=dedicated_core)
-        extra = self.injector.latency_spikes_ns(f"{self.site}|{self._drawn}", 1)
-        self._drawn += 1
-        return int(latency + extra[0])
-
-    def group_read_latencies_ns(self, specs, n, rng, dedicated_core=True) -> np.ndarray:
-        latencies = self.base.group_read_latencies_ns(
-            specs, n, rng, dedicated_core=dedicated_core
-        )
-        extra = self.injector.latency_spikes_ns(f"{self.site}|{self._drawn}", n)
-        self._drawn += n
-        return latencies + extra
-
-    def expected_cpu_utilization(self, specs, interval_ns) -> float:
-        return self.base.expected_cpu_utilization(specs, interval_ns)

@@ -3,19 +3,16 @@
 A :class:`FaultPlan` describes *what* can go wrong in a chaos run and how
 often, in the vocabulary of the paper's own failure modes: the polling
 loop "misses" instants under load (Table 1), ASIC counters are 32-bit
-registers that wrap, the switch CPU is perturbed by kernel interrupts and
-competing requests (Sec 4.1), and the collector pipeline has bounded
-buffering.  Plans are plain frozen data so a chaos run is fully described
-by (plan, seed) and can be replayed exactly.
+registers that wrap, and a collection RPC can fail outright.  Plans are
+plain frozen data so a chaos run is fully described by (plan, seed) and
+can be replayed exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.collector import DROP_POLICIES
 from repro.errors import FaultInjectionError
-from repro.units import us
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,71 +33,25 @@ class FaultPlan:
     transient_fraction:
         Share of window failures that clear on the first retry (the rest
         are persistent and exhaust the retry budget).
-    read_failure_rate:
-        Per-read probability that a counter read fails (the sample is
-        simply absent, leaving a gap — the paper's miss semantics).
     sample_loss_rate:
         Per-sample probability that an interior sample of a finished
-        trace is lost in the collection pipeline (collector backpressure,
-        lossy export), producing missing intervals.
+        trace is lost (a failed read, collector backpressure, lossy
+        export), leaving a gap — the paper's miss semantics.
     wrap_bits:
         When set (32 for real ASIC registers), cumulative counter values
         are wrapped to this width, exercising wrap correction downstream.
-    latency_spike_rate / latency_spike_ns:
-        Per-read probability of a switch-CPU contention spike and its
-        magnitude, added on top of the ASIC timing model.
-    queue_capacity / drop_policy:
-        Bound on the collector's per-counter pending queue, and what to
-        do on overflow (one of :data:`DROP_POLICIES`).
-    truncate_rate:
-        Per-archive probability that a written trace file is truncated
-        (exercising the traceio integrity checks).
     """
 
     seed: int = 0
     window_failure_rate: float = 0.0
     transient_fraction: float = 1.0
-    read_failure_rate: float = 0.0
     sample_loss_rate: float = 0.0
     wrap_bits: int | None = None
-    latency_spike_rate: float = 0.0
-    latency_spike_ns: int = us(250)
-    queue_capacity: int | None = None
-    drop_policy: str = "drop_newest"
-    truncate_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "window_failure_rate",
-            "transient_fraction",
-            "read_failure_rate",
-            "sample_loss_rate",
-            "latency_spike_rate",
-            "truncate_rate",
-        ):
+        for name in ("window_failure_rate", "transient_fraction", "sample_loss_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise FaultInjectionError(f"{name}={value} outside [0, 1]")
         if self.wrap_bits is not None and not 1 <= self.wrap_bits <= 64:
             raise FaultInjectionError(f"wrap_bits={self.wrap_bits} outside [1, 64]")
-        if self.latency_spike_ns < 0:
-            raise FaultInjectionError("latency_spike_ns must be non-negative")
-        if self.queue_capacity is not None and self.queue_capacity <= 0:
-            raise FaultInjectionError("queue_capacity must be positive")
-        if self.drop_policy not in DROP_POLICIES:
-            raise FaultInjectionError(
-                f"drop_policy {self.drop_policy!r} not in {DROP_POLICIES}"
-            )
-
-    @property
-    def is_noop(self) -> bool:
-        """True when the plan injects nothing at all."""
-        return (
-            self.window_failure_rate == 0.0
-            and self.read_failure_rate == 0.0
-            and self.sample_loss_rate == 0.0
-            and self.wrap_bits is None
-            and self.latency_spike_rate == 0.0
-            and self.queue_capacity is None
-            and self.truncate_rate == 0.0
-        )

@@ -23,7 +23,6 @@ from repro.netsim.host import Nic, Server, WindowedTransport
 from repro.netsim.ecn import DctcpTransport, EcnConfig, EcnMarker
 from repro.netsim.clos import ClosConfig, ClosFabric
 from repro.netsim.topology import Rack, RackConfig, build_rack
-from repro.netsim.multirack import Pod, PodFabric, build_pod
 from repro.netsim.tracing import SwitchCounterSurface
 
 __all__ = [
@@ -53,8 +52,5 @@ __all__ = [
     "Rack",
     "RackConfig",
     "build_rack",
-    "Pod",
-    "PodFabric",
-    "build_pod",
     "SwitchCounterSurface",
 ]

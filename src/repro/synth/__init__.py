@@ -24,7 +24,7 @@ from repro.synth.calibration import (
     IntensityModel,
     PortProfile,
 )
-from repro.synth.onoff import OnOffGenerator, correlated_masks
+from repro.synth.onoff import OnOffGenerator
 from repro.synth.rackmodel import RackSynthesizer, RackWindow
 from repro.synth.buffermodel import BufferResponseModel
 from repro.synth.dropmodel import CoarseLinkPopulation, DropEpisodeModel
@@ -39,7 +39,6 @@ __all__ = [
     "IntensityModel",
     "PortProfile",
     "OnOffGenerator",
-    "correlated_masks",
     "RackSynthesizer",
     "RackWindow",
     "BufferResponseModel",

@@ -324,18 +324,6 @@ class AppProfile:
         )
 
 
-def diurnal_activity(hour: int, amplitude: float = 0.6, peak_hour: int = 15) -> float:
-    """Smooth day/night offered-load factor with mean ~1.
-
-    The paper's campaign spans 24 hours precisely to capture diurnal
-    patterns (Sec 4.2); window-level activity modulates burst frequency.
-    """
-    if not 0.0 <= amplitude < 1.0:
-        raise ConfigError("amplitude must be in [0, 1)")
-    phase = 2.0 * math.pi * (hour - peak_hour) / 24.0
-    return 1.0 + amplitude * math.cos(phase)
-
-
 def _web_profile() -> AppProfile:
     duration = DurationModel(head=(0.75, 0.16), tail_decay=0.62)
     # E[D] ~ 1.49 ticks -> p11 ~ 0.33 (paper: 0.359); p90 = 2 ticks = 50 us.

@@ -156,41 +156,3 @@ def correlated_utilization(
         util[cold, member] = profile.cold.sample(rng, int(cold.sum()))
     return util, hot
 
-
-def correlated_masks(
-    n_members: int,
-    n_ticks: int,
-    profile: PortProfile,
-    participation: float,
-    shared_fraction: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Hot masks for ``n_members`` servers sharing group bursts (Fig 8).
-
-    A master on/off process supplies shared bursts; each member joins
-    each shared burst with probability ``participation``.  Each member
-    additionally runs a thinned private process so its own hot fraction
-    stays at the profile's, with ``shared_fraction`` of bursts shared.
-
-    Returns a (n_ticks, n_members) boolean array.
-    """
-    if n_members <= 0:
-        raise ConfigError("need at least one member")
-    generator = OnOffGenerator(profile)
-    masks = np.zeros((n_ticks, n_members), dtype=bool)
-
-    if shared_fraction > 0.0 and participation > 0.0 and n_members > 1:
-        starts, lengths = generator.generate_mask_runs(n_ticks, rng)
-        for member in range(n_members):
-            join = rng.random(len(starts)) < participation
-            for start, length in zip(starts[join], lengths[join]):
-                masks[start : start + length, member] = True
-
-    private_share = 1.0 - shared_fraction if n_members > 1 else 1.0
-    if private_share > 0.0:
-        for member in range(n_members):
-            starts, lengths = generator.generate_mask_runs(n_ticks, rng)
-            keep = rng.random(len(starts)) < private_share
-            for start, length in zip(starts[keep], lengths[keep]):
-                masks[start : start + length, member] = True
-    return masks

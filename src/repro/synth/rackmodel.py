@@ -16,32 +16,9 @@ import numpy as np
 
 from repro.core.samples import CounterTrace, ValueKind
 from repro.errors import ConfigError
-from repro.synth.calibration import APP_PROFILES, BASE_TICK_NS, AppProfile, PortProfile
+from repro.synth.calibration import APP_PROFILES, BASE_TICK_NS, AppProfile
 from repro.synth.onoff import OnOffGenerator, correlated_utilization
 from repro.units import NS_PER_S, gbps
-
-
-def fill_utilization(
-    mask: np.ndarray, profile: PortProfile, rng: np.random.Generator
-) -> np.ndarray:
-    """Turn a hot mask into a utilization series using a port profile.
-
-    Each maximal hot run gets one intensity draw (plus per-tick noise);
-    cold ticks draw from the cold-utilization model.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    util = np.empty(len(mask))
-    util[~mask] = profile.cold.sample(rng, int((~mask).sum()))
-    padded = np.concatenate(([False], mask, [False]))
-    diff = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(diff == 1)
-    stops = np.flatnonzero(diff == -1)
-    lengths = stops - starts
-    intensities = profile.intensity.sample(rng, len(lengths))
-    per_tick = np.repeat(intensities, lengths)
-    noise = rng.normal(0.0, profile.intensity.tick_noise, size=len(per_tick))
-    util[mask] = np.clip(per_tick + noise, 0.501, 1.0)
-    return util
 
 
 def _ecmp_weight_segments(
@@ -129,32 +106,6 @@ class RackWindow:
     def all_egress_util(self) -> np.ndarray:
         """(n_ticks, n_down + n_up) egress utilization of every port."""
         return np.concatenate([self.downlink_util, self.uplink_egress_util], axis=1)
-
-    def downlink_byte_trace(self, index: int, start_ns: int = 0) -> CounterTrace:
-        return utilization_to_byte_trace(
-            self.downlink_util[:, index],
-            self.downlink_rate_bps,
-            self.tick_ns,
-            name=f"down{index}.tx_bytes",
-            start_ns=start_ns,
-        )
-
-    def uplink_byte_trace(
-        self, index: int, direction: str = "egress", start_ns: int = 0
-    ) -> CounterTrace:
-        if direction == "egress":
-            util = self.uplink_egress_util[:, index]
-        elif direction == "ingress":
-            util = self.uplink_ingress_util[:, index]
-        else:
-            raise ConfigError(f"unknown direction {direction!r}")
-        return utilization_to_byte_trace(
-            util,
-            self.uplink_rate_bps,
-            self.tick_ns,
-            name=f"up{index}.{'tx' if direction == 'egress' else 'rx'}_bytes",
-            start_ns=start_ns,
-        )
 
 
 def utilization_to_byte_trace(

@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.bufferstats import (
     BoxStats,
     occupancy_by_hot_ports,
-    occupancy_scaling_slope,
 )
 from repro.analysis.hotports import (
     DirectionShare,
@@ -99,16 +98,12 @@ class TestOccupancyGroups:
         assert groups[2].median == pytest.approx(0.5)
 
     def test_scaling_slope(self):
+        """fig10's scaling measure: median occupancy at most vs fewest hot ports."""
         util = np.array([[0.1, 0.1], [0.9, 0.1], [0.9, 0.9]])
         peaks = np.array([0.1, 0.4, 0.7])
         groups = occupancy_by_hot_ports(peaks, util, periods_per_window=1)
-        assert occupancy_scaling_slope(groups) == pytest.approx(0.3)
-
-    def test_slope_needs_two_groups(self):
-        util = np.array([[0.9, 0.9]])
-        groups = occupancy_by_hot_ports(np.array([0.5]), util, periods_per_window=1)
-        with pytest.raises(AnalysisError):
-            occupancy_scaling_slope(groups)
+        assert [groups[k].median for k in sorted(groups)] == pytest.approx([0.1, 0.4, 0.7])
+        assert groups[max(groups)].median - groups[min(groups)].median == pytest.approx(0.6)
 
     def test_bad_normalize(self):
         util = np.array([[0.9, 0.9]])

@@ -1,6 +1,7 @@
 """Resilient campaign runner tests: retry, timeout, partial results,
 checkpoint/resume."""
 
+import shutil
 import time
 
 import numpy as np
@@ -45,6 +46,15 @@ def window_trace(window):
         start_ns=window.start_ns,
     )
     return {trace.name: trace}
+
+
+def assert_same_traces(expected, actual):
+    assert len(expected) == len(actual)
+    for want, got in zip(expected, actual):
+        assert set(want) == set(got)
+        for name in want:
+            assert want[name].timestamps_ns.tobytes() == got[name].timestamps_ns.tobytes()
+            assert want[name].values.tobytes() == got[name].values.tobytes()
 
 
 class FlakySource:
@@ -201,16 +211,7 @@ class TestCheckpointResume:
         assert source.calls == 3
         assert [o.status for o in resumed.outcomes] == [WindowStatus.OK] * 6
         # Byte-identical traces whether or not the run was interrupted.
-        for clean_traces, resumed_traces in zip(clean.traces, resumed.traces):
-            assert set(clean_traces) == set(resumed_traces)
-            for name in clean_traces:
-                assert np.array_equal(
-                    clean_traces[name].timestamps_ns,
-                    resumed_traces[name].timestamps_ns,
-                )
-                assert np.array_equal(
-                    clean_traces[name].values, resumed_traces[name].values
-                )
+        assert_same_traces(clean.traces, resumed.traces)
 
     def test_resume_false_recollects_everything(self, tmp_path):
         plan = make_plan(3)
@@ -256,3 +257,25 @@ class TestCheckpointResume:
         ).run(resume=True)
         assert source.calls == 1  # only the damaged window
         assert resumed.traces[1]  # and its data is back
+
+    def test_torn_manifest_record_recollected_at_every_offset(self, tmp_path):
+        """A crash mid-append can cut the last record anywhere; resume
+        re-collects that window and later appends start a fresh line."""
+        plan = make_plan(4)
+        clean = tmp_path / "clean"
+        reference = MeasurementCampaign(plan, FlakySource(), checkpoint_dir=clean).run()
+        manifest = (clean / "manifest.jsonl").read_bytes()
+        last_start = manifest.rstrip(b"\n").rfind(b"\n") + 1
+        for cut in range(last_start, len(manifest)):
+            ckpt = tmp_path / f"cut{cut}"
+            shutil.copytree(clean, ckpt)
+            (ckpt / "manifest.jsonl").write_bytes(manifest[:cut])
+            for expected_calls in (1, 0):  # re-collect once, then fully resumed
+                source = FlakySource()
+                resumed = MeasurementCampaign(
+                    plan, source, checkpoint_dir=ckpt
+                ).run(resume=True)
+                assert source.calls == expected_calls, cut
+                assert_same_traces(reference.traces, resumed.traces)
+                assert resumed.status_counts() == reference.status_counts()
+            assert (ckpt / "manifest.jsonl").read_bytes() == manifest

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.samples import CounterTrace, ValueKind
 from repro.errors import AnalysisError
-from repro.units import gbps, us
+from repro.units import gbps, seconds, us
 
 
 def byte_trace(values, interval=us(25), rate=gbps(10)):
@@ -111,3 +111,12 @@ class TestSliceDecimate:
     def test_decimate_validates_factor(self):
         with pytest.raises(AnalysisError):
             byte_trace([0, 1]).decimate(0)
+
+    def test_burst_invisible_at_coarse_granularity(self):
+        """The paper's core point: a 100 % µburst vanishes in a long bin."""
+        per_tick = np.zeros(40_000, dtype=np.int64)
+        per_tick[100:104] = 31_250  # 100 us at line rate
+        trace = byte_trace(np.concatenate(([0], np.cumsum(per_tick))))
+        assert trace.utilization().max() == pytest.approx(1.0, rel=1e-3)
+        coarse = trace.decimate(seconds(1) // us(25))  # a 1 s poller
+        assert coarse.utilization().max() < 0.001

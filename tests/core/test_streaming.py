@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import extract_bursts, fit_transition_matrix
-from repro.core.streaming import ReservoirSampler, StreamingBurstStats
-from repro.errors import AnalysisError, ConfigError
+from repro.core.streaming import StreamingBurstStats
+from repro.errors import AnalysisError
 from repro.synth import APP_PROFILES, OnOffGenerator
 
 
@@ -85,26 +85,3 @@ class TestStreamingBurstStats:
         assert stream.duration_buckets[0] == 1
         assert stream.duration_buckets[1] == 1
         assert stream.duration_buckets[2] == 1
-
-
-class TestReservoir:
-    def test_fills_then_subsamples(self, rng):
-        reservoir = ReservoirSampler(capacity=100, rng=rng)
-        reservoir.offer_many(np.arange(5000, dtype=float))
-        assert len(reservoir.sample) == 100
-        assert reservoir.n_seen == 5000
-
-    def test_approximately_uniform(self, rng):
-        reservoir = ReservoirSampler(capacity=2000, rng=rng)
-        reservoir.offer_many(np.arange(20_000, dtype=float))
-        # mean of a uniform subsample of 0..19999 ~ 10000
-        assert np.mean(reservoir.sample) == pytest.approx(10_000, rel=0.1)
-
-    def test_small_stream_kept_fully(self, rng):
-        reservoir = ReservoirSampler(capacity=10, rng=rng)
-        reservoir.offer_many(np.arange(5, dtype=float))
-        assert sorted(reservoir.sample) == [0, 1, 2, 3, 4]
-
-    def test_capacity_validation(self, rng):
-        with pytest.raises(ConfigError):
-            ReservoirSampler(capacity=0, rng=rng)

@@ -125,6 +125,19 @@ class TestFig4:
                 p_value = float(str(measured).split()[0])
                 assert p_value < 0.05
 
+    def test_too_few_gaps_reported_not_raised(self):
+        # A 2 ms window holds too few bursts for the KS test on some apps.
+        result = run_experiment("fig4", seed=0, n_windows=1, window_s=0.002)
+        rows = rows_dict(result)
+        short = [app for app in ("web", "cache", "hadoop")
+                 if str(rows[f"{app}: KS p-value vs exponential"]).startswith("n/a")]
+        assert short
+        for app in short:
+            n_gaps = rows[f"{app}: p99 gap (ms)"]
+            assert n_gaps == rows[f"{app}: gaps < 100us"]
+            assert n_gaps.endswith(" gaps)")
+            assert f"{app}_gap_cdf_us" not in result.series
+
 
 class TestFig5:
     def test_large_packet_shift(self):
@@ -155,6 +168,13 @@ class TestFig7:
         for app in ("web", "cache", "hadoop"):
             assert rows[f"{app} egress: median MAD @40us"] > 0.25
             assert rows[f"{app} egress: median MAD @1s"] < 0.25
+
+    def test_window_shorter_than_one_second(self):
+        result = run_experiment("fig7", seed=0, duration_s=0.05)
+        rows = rows_dict(result)
+        for app in ("web", "cache", "hadoop"):
+            assert rows[f"{app} egress: median MAD @1s"] == "n/a (window < 1 s)"
+            assert rows[f"{app} egress: median MAD @40us"] > 0.25
 
 
 class TestFig8:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.samples import CounterTrace, ValueKind
-from repro.core.traceio import load_traces, save_traces
-from repro.errors import CollectionError, CorruptTraceError, FaultInjectionError
+from repro.errors import CollectionError, FaultInjectionError
 from repro.faults import (
     COUNTER_BITS_META,
     FaultInjector,
@@ -13,7 +12,20 @@ from repro.faults import (
     FaultyWindowSource,
     window_site,
 )
+from repro.telemetry.metrics import scoped_registry
 from repro.units import gbps, us
+
+
+@pytest.fixture
+def registry():
+    """Fresh registry, so ``faults.*`` counters count this test only."""
+    with scoped_registry() as reg:
+        yield reg
+
+
+def fault_counts(registry):
+    counters = registry.snapshot()["counters"]
+    return {name: value for name, value in counters.items() if name.startswith("faults.")}
 
 
 def byte_trace(n=64, step=5000, name="down0.tx_bytes"):
@@ -24,29 +36,37 @@ def byte_trace(n=64, step=5000, name="down0.tx_bytes"):
 
 
 class TestFaultPlan:
-    def test_default_plan_is_noop(self):
-        assert FaultPlan().is_noop
+    def test_default_plan_is_noop(self, registry):
+        injector = FaultInjector(FaultPlan())
+        trace = byte_trace(n=400)
+        assert injector.degrade_trace(trace, "s") is trace
+        assert not any(injector.should_fail_window(f"s{i}", 0) for i in range(100))
+        assert fault_counts(registry) == {}
 
     def test_any_rate_clears_noop(self):
-        assert not FaultPlan(sample_loss_rate=0.01).is_noop
-        assert not FaultPlan(wrap_bits=32).is_noop
-        assert not FaultPlan(queue_capacity=10).is_noop
+        trace = byte_trace(n=400, step=300_000)
+        lossy = FaultInjector(FaultPlan(sample_loss_rate=0.5))
+        assert len(lossy.degrade_trace(trace, "s")) < len(trace)
+        wrapping = FaultInjector(FaultPlan(wrap_bits=20))
+        assert wrapping.degrade_trace(trace, "s") is not trace
+        failing = FaultInjector(FaultPlan(window_failure_rate=1.0))
+        assert failing.should_fail_window("s", 0)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"window_failure_rate": -0.1},
             {"window_failure_rate": 1.5},
+            {"window_failure_rate": float("nan")},
+            {"transient_fraction": -0.5},
             {"transient_fraction": 2.0},
-            {"read_failure_rate": -1.0},
+            {"transient_fraction": float("nan")},
+            {"sample_loss_rate": -0.01},
             {"sample_loss_rate": 1.01},
-            {"latency_spike_rate": -0.5},
-            {"truncate_rate": 7.0},
+            {"sample_loss_rate": float("nan")},
             {"wrap_bits": 0},
             {"wrap_bits": 65},
-            {"latency_spike_ns": -1},
-            {"queue_capacity": 0},
-            {"drop_policy": "panic"},
+            {"wrap_bits": -1},
         ],
     )
     def test_invalid_plans_rejected(self, kwargs):
@@ -75,13 +95,6 @@ class TestDeterminism:
             FaultInjector(plan).should_fail_window(s, 0) for s in reversed(sites)
         ]
         assert forward == list(reversed(backward))
-
-    def test_read_failure_mask_reproducible(self):
-        plan = FaultPlan(seed=1, read_failure_rate=0.3)
-        mask_a = FaultInjector(plan).read_failure_mask("s", 500)
-        mask_b = FaultInjector(plan).read_failure_mask("s", 500)
-        assert np.array_equal(mask_a, mask_b)
-        assert 0 < mask_a.sum() < 500
 
 
 class TestWindowFaults:
@@ -112,26 +125,28 @@ class TestWindowFaults:
         for attempt in range(4):
             assert injector.should_fail_window(site, attempt)
 
-    def test_zero_rate_never_fails(self):
+    def test_zero_rate_never_fails(self, registry):
         injector = FaultInjector(FaultPlan(seed=0))
         assert not any(
             injector.should_fail_window(f"s{i}", 0) for i in range(100)
         )
-        assert injector.stats.window_faults == 0
+        assert "faults.window_faults" not in fault_counts(registry)
 
     def test_negative_attempt_rejected(self):
         injector = FaultInjector(FaultPlan())
         with pytest.raises(FaultInjectionError):
             injector.should_fail_window("s", -1)
 
-    def test_stats_count_first_attempt_only(self):
+    def test_stats_count_first_attempt_only(self, registry):
         injector = FaultInjector(
             FaultPlan(seed=2, window_failure_rate=1.0, transient_fraction=0.0)
         )
         for attempt in range(3):
             injector.should_fail_window("one-site", attempt)
-        assert injector.stats.window_faults == 1
-        assert injector.stats.persistent_faults == 1
+        assert fault_counts(registry) == {
+            "faults.persistent_faults": 1,
+            "faults.window_faults": 1,
+        }
 
 
 class TestTraceFaults:
@@ -162,7 +177,7 @@ class TestTraceFaults:
         out = FaultInjector(FaultPlan(wrap_bits=8)).wrap_trace(gauge)
         assert out is gauge
 
-    def test_drop_samples_keeps_endpoints_and_counts(self):
+    def test_drop_samples_keeps_endpoints_and_counts(self, registry):
         trace = byte_trace(n=400)
         injector = FaultInjector(FaultPlan(seed=3, sample_loss_rate=0.3))
         degraded = injector.drop_samples(trace, "w|p")
@@ -171,7 +186,7 @@ class TestTraceFaults:
         dropped = len(trace) - len(degraded)
         assert dropped > 0
         assert degraded.meta["samples_dropped"] == dropped
-        assert injector.stats.samples_dropped == dropped
+        assert fault_counts(registry) == {"faults.samples_dropped": dropped}
         # Survivors keep true timestamps and exact cumulative values.
         assert set(degraded.timestamps_ns).issubset(set(trace.timestamps_ns))
         assert int(degraded.deltas().sum()) == int(trace.deltas().sum())
@@ -183,26 +198,6 @@ class TestTraceFaults:
         b = FaultInjector(plan).degrade_trace(trace, "site-x")
         assert np.array_equal(a.timestamps_ns, b.timestamps_ns)
         assert np.array_equal(a.values, b.values)
-
-
-class TestArchiveTruncation:
-    def test_truncation_caught_by_integrity_checks(self, tmp_path):
-        path = tmp_path / "w.npz"
-        trace = byte_trace()
-        save_traces(path, {trace.name: trace})
-        injector = FaultInjector(FaultPlan(seed=1, truncate_rate=1.0))
-        assert injector.maybe_truncate_archive(path, "w")
-        assert injector.stats.archives_truncated == 1
-        with pytest.raises(CorruptTraceError):
-            load_traces(path)
-
-    def test_zero_rate_leaves_file_alone(self, tmp_path):
-        path = tmp_path / "w.npz"
-        trace = byte_trace()
-        save_traces(path, {trace.name: trace})
-        before = path.read_bytes()
-        assert not FaultInjector(FaultPlan()).maybe_truncate_archive(path, "w")
-        assert path.read_bytes() == before
 
 
 class FixedSource:

@@ -13,6 +13,7 @@ from repro.analysis.bursts import extract_bursts_gap_aware
 from repro.core.campaign import MeasurementCampaign, RetryPolicy, WindowStatus
 from repro.faults import FaultInjector, FaultPlan, FaultyWindowSource
 from repro.synth.dataset import SyntheticCampaignSource, default_plan
+from repro.telemetry.metrics import scoped_registry
 from repro.units import seconds
 
 
@@ -33,7 +34,7 @@ def faulty_source(seed=0, rate=0.05):
             wrap_bits=32,
         )
     )
-    return FaultyWindowSource(SyntheticCampaignSource(seed=seed), injector), injector
+    return FaultyWindowSource(SyntheticCampaignSource(seed=seed), injector)
 
 
 def assert_traces_equal(a, b):
@@ -50,14 +51,15 @@ def assert_traces_equal(a, b):
 class TestChaosCampaign:
     def test_five_percent_failure_rate_completes_partially(self):
         plan = make_plan()
-        source, injector = faulty_source()
-        result = MeasurementCampaign(
-            plan, source, retry=RetryPolicy(max_attempts=3, backoff_s=0)
-        ).run()
+        with scoped_registry() as registry:
+            result = MeasurementCampaign(
+                plan, faulty_source(), retry=RetryPolicy(max_attempts=3, backoff_s=0)
+            ).run()
         counts = result.status_counts()
         assert sum(counts.values()) == len(plan.windows)
         # Transients recovered by retry never surface as failures.
-        assert counts[WindowStatus.FAILED.value] <= injector.stats.persistent_faults
+        persistent = registry.snapshot()["counters"].get("faults.persistent_faults", 0)
+        assert counts[WindowStatus.FAILED.value] <= persistent
         assert result.completion_fraction >= 0.8
         # Degraded traces still feed the gap-aware analysis.
         for _window, traces in result.completed():
@@ -69,7 +71,7 @@ class TestChaosCampaign:
         plan = make_plan(seed=2)
         retry = RetryPolicy(max_attempts=3, backoff_s=0)
         uninterrupted = MeasurementCampaign(
-            plan, faulty_source(seed=2)[0], retry=retry
+            plan, faulty_source(seed=2), retry=retry
         ).run()
 
         class Interrupting:
@@ -87,7 +89,7 @@ class TestChaosCampaign:
         ckpt = tmp_path / "ckpt"
         campaign = MeasurementCampaign(
             plan,
-            Interrupting(faulty_source(seed=2)[0], stop_after=9),
+            Interrupting(faulty_source(seed=2), stop_after=9),
             retry=retry,
             checkpoint_dir=ckpt,
         )
@@ -95,7 +97,7 @@ class TestChaosCampaign:
             campaign.run()
 
         resumed = MeasurementCampaign(
-            plan, faulty_source(seed=2)[0], retry=retry, checkpoint_dir=ckpt
+            plan, faulty_source(seed=2), retry=retry, checkpoint_dir=ckpt
         ).run(resume=True)
         assert_traces_equal(uninterrupted.traces, resumed.traces)
         assert [o.status for o in resumed.outcomes] == [

@@ -18,7 +18,6 @@ from repro.core.counters import (
     bind_tx_bytes,
     bind_tx_size_hist,
 )
-from repro.core.snmp import coarse_resample
 from repro.netsim import (
     RackConfig,
     Simulator,
@@ -124,9 +123,9 @@ class TestCoarseVsFine:
         report = sampler.run_in_sim(sim, ms(80))
         trace = report.traces["down0.tx_bytes"]
         fine_hot = (trace.utilization() > 0.5).mean()
-        coarse = coarse_resample(trace, ms(40))
+        coarse = trace.decimate(ms(40) // us(25))  # what a 40 ms poller records
         assert trace.utilization().max() > 0.5  # µbursts visible at 25 us
-        assert coarse.utilization.max() < 0.5  # invisible at 40 ms
+        assert coarse.utilization().max() < 0.5  # invisible at 40 ms
         assert fine_hot < 0.5
 
 

@@ -11,7 +11,6 @@ from repro.synth.calibration import (
     DurationModel,
     GapModel,
     IntensityModel,
-    diurnal_activity,
 )
 
 
@@ -120,18 +119,3 @@ class TestPaperTargets:
             p01 = profile.downlink.gap.implied_p01
             ratios[app] = p11 / p01
         assert ratios["web"] > ratios["cache"] > ratios["hadoop"] > 5
-
-
-class TestDiurnal:
-    def test_mean_near_one(self):
-        values = [diurnal_activity(h) for h in range(24)]
-        assert np.mean(values) == pytest.approx(1.0, abs=1e-9)
-        assert max(values) > 1.3 and min(values) < 0.7
-
-    def test_peak_hour(self):
-        values = {h: diurnal_activity(h) for h in range(24)}
-        assert max(values, key=values.get) == 15
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            diurnal_activity(3, amplitude=1.5)

@@ -6,7 +6,7 @@ import pytest
 from repro.analysis import extract_bursts, fit_transition_matrix
 from repro.errors import ConfigError
 from repro.synth.calibration import APP_PROFILES
-from repro.synth.onoff import OnOffGenerator, correlated_masks, correlated_utilization
+from repro.synth.onoff import OnOffGenerator, correlated_utilization
 
 
 @pytest.fixture
@@ -94,12 +94,3 @@ class TestCorrelatedUtilization:
     def test_validation(self, rng):
         with pytest.raises(ConfigError):
             correlated_utilization(0, 100, APP_PROFILES["web"].downlink, 0.5, 0.5, rng)
-
-
-class TestCorrelatedMasks:
-    def test_mask_only_api(self, rng):
-        profile = APP_PROFILES["cache"].downlink
-        masks = correlated_masks(4, 50_000, profile, 0.9, 0.9, rng)
-        assert masks.shape == (50_000, 4)
-        assert masks.dtype == bool
-        assert masks.any()

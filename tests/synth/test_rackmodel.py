@@ -9,7 +9,6 @@ from repro.synth.calibration import APP_PROFILES
 from repro.synth.rackmodel import (
     RackSynthesizer,
     _ecmp_weight_segments,
-    fill_utilization,
     synthesize_size_histogram,
     utilization_to_byte_trace,
 )
@@ -37,25 +36,6 @@ class TestByteTraceConversion:
             rng.random(5), gbps(10), us(25), start_ns=1_000_000
         )
         assert trace.timestamps_ns[0] == 1_000_000
-
-
-class TestFillUtilization:
-    def test_respects_mask(self, rng):
-        profile = APP_PROFILES["web"].downlink
-        mask = np.zeros(1000, dtype=bool)
-        mask[100:110] = True
-        mask[500:501] = True
-        util = fill_utilization(mask, profile, rng)
-        assert np.all(util[mask] > 0.5)
-        assert np.all(util[~mask] < 0.5)
-
-    def test_one_intensity_per_burst(self, rng):
-        profile = APP_PROFILES["hadoop"].downlink
-        mask = np.zeros(100, dtype=bool)
-        mask[10:30] = True
-        util = fill_utilization(mask, profile, rng)
-        # within a burst, variation is only tick noise (std ~0.03)
-        assert util[10:30].std() < 0.1
 
 
 class TestEcmpSegments:
@@ -99,13 +79,12 @@ class TestSynthesizeWindow:
         assert np.array_equal(all_util[:, :16], window.downlink_util)
 
     def test_traces(self, window):
-        trace = window.downlink_byte_trace(3)
-        assert trace.name == "down3.tx_bytes"
-        assert len(trace) == 50_001
-        up = window.uplink_byte_trace(0, "ingress")
-        assert up.name == "up0.rx_bytes"
-        with pytest.raises(ConfigError):
-            window.uplink_byte_trace(0, "sideways")
+        util = window.downlink_util[:, 3]
+        trace = utilization_to_byte_trace(
+            util, window.downlink_rate_bps, window.tick_ns, name="down3.tx_bytes"
+        )
+        assert len(trace) == window.n_ticks + 1
+        assert np.abs(trace.utilization() - util).max() < 1e-3
 
     def test_unknown_app_rejected(self):
         with pytest.raises(ConfigError):

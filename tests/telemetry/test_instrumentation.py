@@ -267,7 +267,7 @@ class TestFaultTelemetry:
         injector = FaultInjector(FaultPlan(seed=5, sample_loss_rate=0.5))
         trace = make_trace(n=200)
         degraded = injector.degrade_trace(trace, "site-a")
-        dropped = injector.stats.samples_dropped
+        dropped = degraded.meta["samples_dropped"]
         assert dropped > 0
         assert len(degraded) == len(trace) - dropped
         counters = registry.snapshot()["counters"]

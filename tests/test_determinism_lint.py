@@ -260,3 +260,162 @@ def test_campaign_lint_catches_direct_construction(snippet):
 )
 def test_campaign_lint_allows_driver_use(snippet):
     assert not _campaign_constructions_in_source(snippet, "fake.py")
+
+
+# -- src/ is what the CLI reaches ----------------------------------------------------
+
+#: Entry points: the CLI, and ``python -m repro``, which only calls it.
+ENTRY_MODULES = ("repro.cli", "repro.__main__")
+
+#: Modules kept although the CLI does not reach them yet, with the reason.
+UNREACHED_ALLOWLIST = {
+    "repro.core.streaming": (
+        "StreamingBurstStats becomes the campaign's mergeable per-window "
+        "summary (ROADMAP item 9)"
+    ),
+}
+
+
+def _module_names(src: Path) -> dict[str, Path]:
+    """Dotted name -> file for every module under ``src`` (a package is
+    named after its directory and maps to its ``__init__.py``)."""
+    names = {}
+    for path in sorted(src.rglob("*.py")):
+        parts = list(path.relative_to(src.parent).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts.pop()
+        names[".".join(parts)] = path
+    return names
+
+
+def _absolute(base: str | None, level: int, module: str, is_package: bool) -> str:
+    """The absolute module a (possibly relative) ``from`` import names."""
+    if not level:
+        return base or ""
+    anchor = module.split(".")
+    anchor = anchor[: len(anchor) - level + (1 if is_package else 0)]
+    return ".".join(anchor + ([base] if base else []))
+
+
+def _imports(tree: ast.AST, module: str) -> list[tuple[str, str | None]]:
+    """``(module, name)`` pairs a (non-package) module imports, anywhere in
+    its body; ``name`` is None for a plain ``import a.b``."""
+    found: list[tuple[str, str | None]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = _absolute(node.module, node.level, module, False)
+            found.extend((base, alias.name) for alias in node.names)
+    return found
+
+
+def _package_bindings(tree: ast.Module, package: str) -> dict[str, tuple]:
+    """Top-level names of a package ``__init__``: ``("import", module,
+    name)`` for a re-export, ``("uses", names)`` for a definition made
+    there (the names it refers to)."""
+    bindings: dict[str, tuple] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            base = _absolute(node.module, node.level, package, True)
+            for alias in node.names:
+                bindings[alias.asname or alias.name] = ("import", base, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                bindings[alias.asname or alias.name.split(".")[0]] = ("import", alias.name, None)
+        else:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            uses = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            for name in names:
+                bindings[name] = ("uses", uses - {name})
+    return bindings
+
+
+def _unreached_modules(src: Path, entries=ENTRY_MODULES) -> list[str]:
+    """Non-package modules no entry point reaches.
+
+    Walks the import graph from the entry modules.  An import from a
+    package resolves each imported name to the module that defines it:
+    through the package's re-exports, or, for code defined in the
+    ``__init__`` itself, to the modules that code uses.  The rest of a
+    package ``__init__`` is never walked: re-exporting a module does not
+    make it reachable.
+    """
+    files = _module_names(src)
+    trees = {name: ast.parse(path.read_text(), filename=str(path)) for name, path in files.items()}
+    packages = {name for name, path in files.items() if path.name == "__init__.py"}
+    bindings = {name: _package_bindings(trees[name], name) for name in packages}
+
+    def resolve(base: str, name: str | None, seen: frozenset = frozenset()) -> set[str]:
+        if name is not None and f"{base}.{name}" in files:
+            return {f"{base}.{name}"}
+        if base not in packages or name is None:
+            return {base} if base in files else set()
+        binding = bindings[base].get(name)
+        if binding is None or (base, name) in seen:
+            return set()
+        seen = seen | {(base, name)}
+        if binding[0] == "import":
+            return resolve(binding[1], binding[2], seen)
+        return set().union(*(resolve(base, used, seen) for used in binding[1]))
+
+    reached: set[str] = set()
+    stack = [entry for entry in entries if entry in files]
+    while stack:
+        module = stack.pop()
+        if module in reached:
+            continue
+        reached.add(module)
+        for base, name in _imports(trees[module], module):
+            stack.extend(target for target in resolve(base, name) if target not in packages)
+    return sorted(name for name in files if name not in packages and name not in reached)
+
+
+def test_every_src_module_is_reached_from_the_cli():
+    unreached = [name for name in _unreached_modules(SRC) if name not in UNREACHED_ALLOWLIST]
+    assert not unreached, (
+        "every module under src/repro must be imported on a path from "
+        "repro/cli.py (package re-exports alone do not count); delete these "
+        "or wire them into an experiment:\n" + "\n".join(unreached)
+    )
+
+
+def test_reachability_allowlist_is_current():
+    assert set(UNREACHED_ALLOWLIST) <= set(_unreached_modules(SRC))
+
+
+def _write_package(root: Path, files: dict[str, str]) -> Path:
+    for relative, source in files.items():
+        path = root / "repro" / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+    return root / "repro"
+
+
+def test_reachability_follows_re_exports_but_not_package_inits(tmp_path):
+    src = _write_package(
+        tmp_path,
+        {
+            "__init__.py": "",
+            "cli.py": "from repro.core import used\nfrom repro.core import helper\n",
+            "core/__init__.py": (
+                "from repro.core.impl import used\n"
+                "from repro.core.orphan import unused\n"
+                "from repro.core.backend import Backend\n"
+                "REGISTRY = {'b': Backend}\n"
+                "def make(): return REGISTRY['b']()\n"
+            ),
+            "core/impl.py": "from repro.core import make\ndef used(): return make()\n",
+            "core/backend.py": "class Backend: pass\n",
+            "core/helper.py": "from .deep import thing\n",
+            "core/deep.py": "thing = 1\n",
+            "core/orphan.py": "def unused(): pass\n",
+        },
+    )
+    assert _unreached_modules(src) == ["repro.core.orphan"]

@@ -31,12 +31,6 @@ def test_incast_microburst(capsys):
     assert "drops" in out
 
 
-def test_adaptive_monitoring(capsys):
-    out = run_example("adaptive_monitoring.py", capsys=capsys)
-    assert "duty cycle" in out
-    assert "streaming on-switch statistics" in out
-
-
 def test_hadoop_shuffle(capsys):
     out = run_example("hadoop_shuffle.py", capsys=capsys)
     assert "full-MTU" in out
@@ -47,12 +41,6 @@ def test_dctcp_incast(capsys):
     out = run_example("dctcp_incast.py", capsys=capsys)
     assert "=== reno ===" in out
     assert "=== dctcp ===" in out
-
-
-def test_pod_web_cache(capsys):
-    out = run_example("pod_web_cache.py", capsys=capsys)
-    assert "pages served" in out
-    assert "fan-in toward servers" in out
 
 
 def test_chaos_campaign(capsys):
