@@ -23,6 +23,7 @@ from repro.core.parallel import ParallelCampaign
 from repro.experiments.common import app_byte_traces
 from repro.faults import FaultInjector, FaultPlan, FaultyWindowSource
 from repro.synth.dataset import SyntheticCampaignSource
+from repro.synth.rackmodel import RackSynthesizer
 from repro.units import ms, seconds
 
 #: crc32 over (values || timestamps) of every trace of
@@ -64,6 +65,29 @@ GOLDEN_SYNTH_BUFFER_CRCS = {
     "cache": 0x23AFB8FD,
     "hadoop": 0xC4D0B05C,
 }
+#: Rack-matrix golden CRCs: crc32 over the ``downlink_util``,
+#: ``uplink_egress_util`` and ``uplink_ingress_util`` bytes of
+#: ``RackSynthesizer(app).synthesize(n, default_rng(0), activity=a)``.
+#: Captured before the rack-synthesis performance pass; rewrites of the
+#: rack model's draw loops must keep these byte-identical.
+GOLDEN_SYNTH_RACK_CRCS = {
+    ("cache", 7, 1.0): 0x47249DE5,
+    ("cache", 7, 0.3): 0x193D9480,
+    ("cache", 40_000, 1.0): 0x1A274BC7,
+    ("cache", 40_000, 0.3): 0x09D9DCC2,
+    ("hadoop", 7, 1.0): 0x62CC3C93,
+    ("hadoop", 7, 0.3): 0x8B16303A,
+    ("hadoop", 40_000, 1.0): 0x00C76DB4,
+    ("hadoop", 40_000, 0.3): 0xDD71C7F3,
+    ("web", 7, 1.0): 0xDD57BF23,
+    ("web", 7, 0.3): 0x82117D7F,
+    ("web", 40_000, 1.0): 0xD1299084,
+    ("web", 40_000, 0.3): 0xFD42FCF1,
+}
+#: crc32 of ``RackSynthesizer("hadoop").uplink_matrix(40_000,
+#: default_rng(0), capacity_factors=[1, 1, 0, 0.5])``: the weighted-ECMP
+#: path ext-failures takes.
+GOLDEN_SYNTH_WEIGHTED_UPLINK_CRC = 0xEE9BCF01
 GOLDEN_NETSIM_BUFFER_CRCS = {
     "web": 0x214AAF97,
     "cache": 0x5673DFB3,
@@ -128,6 +152,24 @@ class TestSynthParity:
             crc = zlib.crc32(trace.values.tobytes(), crc)
             crc = zlib.crc32(trace.timestamps_ns.tobytes(), crc)
         assert crc == GOLDEN_SYNTH_BUFFER_CRCS[app]
+
+    @pytest.mark.parametrize(("app", "n_ticks", "activity"), sorted(GOLDEN_SYNTH_RACK_CRCS))
+    def test_rack_matrix_crcs(self, app, n_ticks, activity):
+        window = RackSynthesizer(app).synthesize(
+            n_ticks, np.random.default_rng(0), activity=activity
+        )
+        crc = 0
+        for matrix in (
+            window.downlink_util, window.uplink_egress_util, window.uplink_ingress_util
+        ):
+            crc = zlib.crc32(matrix.tobytes(), crc)
+        assert crc == GOLDEN_SYNTH_RACK_CRCS[(app, n_ticks, activity)]
+
+    def test_weighted_uplink_matrix_crc(self):
+        util = RackSynthesizer("hadoop").uplink_matrix(
+            40_000, np.random.default_rng(0), capacity_factors=np.array([1, 1, 0, 0.5])
+        )
+        assert zlib.crc32(util.tobytes()) == GOLDEN_SYNTH_WEIGHTED_UPLINK_CRC
 
     def test_explicit_backend_instance_accepted(self):
         by_name = app_byte_traces("cache", seed=0, n_windows=2, window_s=1.0,
