@@ -71,19 +71,12 @@ class DurationModel:
         """Draw ``n`` burst durations (ticks, >= 1)."""
         if n <= 0:
             return np.zeros(0, dtype=np.int64)
-        u = rng.random(n)
-        out = np.zeros(n, dtype=np.int64)
-        cum = 0.0
-        remaining = np.ones(n, dtype=bool)
-        for k, p in enumerate(self.head):
-            cum += p
-            hit = remaining & (u < cum)
-            out[hit] = k + 1
-            remaining &= ~hit
-        n_tail = int(remaining.sum())
+        # 1 + the first head index whose cumulative mass exceeds u
+        out = np.cumsum(self.head).searchsorted(rng.random(n), side="right") + 1
+        tail = out > len(self.head)
+        n_tail = int(tail.sum())
         if n_tail:
-            extra = rng.geometric(1.0 - self.tail_decay, size=n_tail) - 1
-            out[remaining] = len(self.head) + 1 + extra
+            out[tail] += rng.geometric(1.0 - self.tail_decay, size=n_tail) - 1
         return out
 
 
@@ -161,18 +154,23 @@ class IntensityModel:
         if not self.components:
             raise ConfigError("need at least one intensity component")
         for weight, low, high in self.components:
-            if weight < 0 or not 0.5 <= low <= high <= 1.0:
+            if not math.isfinite(weight) or weight < 0 or not 0.5 <= low <= high <= 1.0:
                 raise ConfigError(f"bad intensity component {(weight, low, high)}")
+        weights, lows, highs = np.array(self.components, dtype=np.float64).T
+        if weights.sum() <= 0:
+            raise ConfigError("intensity component weights must sum to a positive value")
+        # Generator.choice(p=weights / weights.sum()) without its per-call checks.
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_lows", lows)
+        object.__setattr__(self, "_spans", highs - lows)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n <= 0:
             return np.zeros(0)
-        weights = np.array([c[0] for c in self.components])
-        weights = weights / weights.sum()
-        which = rng.choice(len(self.components), size=n, p=weights)
-        lows = np.array([c[1] for c in self.components])[which]
-        highs = np.array([c[2] for c in self.components])[which]
-        return lows + rng.random(n) * (highs - lows)
+        which = self._cdf.searchsorted(rng.random(n), side="right")
+        return self._lows[which] + rng.random(n) * self._spans[which]
 
 
 @dataclass(frozen=True)

@@ -42,27 +42,19 @@ class OnOffGenerator:
         lengths_list: list[np.ndarray] = []
         flags_list: list[np.ndarray] = []
         covered = 0
-        start_hot = bool(rng.random() < self.profile.hot_fraction)
-        first = True
+        # only the first batch of runs may open with a burst
+        hot_first = bool(rng.random() < self.profile.hot_fraction)
         while covered < n_ticks:
             gaps = self.profile.gap.sample(rng, n_cycles)
             bursts = self.profile.duration.sample(rng, n_cycles)
             interleaved = np.empty(2 * n_cycles, dtype=np.int64)
+            interleaved[0::2], interleaved[1::2] = (bursts, gaps) if hot_first else (gaps, bursts)
             flags = np.empty(2 * n_cycles, dtype=bool)
-            if start_hot and first:
-                interleaved[0::2] = bursts
-                interleaved[1::2] = gaps
-                flags[0::2] = True
-                flags[1::2] = False
-            else:
-                interleaved[0::2] = gaps
-                interleaved[1::2] = bursts
-                flags[0::2] = False
-                flags[1::2] = True
+            flags[0::2], flags[1::2] = hot_first, not hot_first
             lengths_list.append(interleaved)
             flags_list.append(flags)
             covered += int(interleaved.sum())
-            first = False
+            hot_first = False
         return np.concatenate(lengths_list), np.concatenate(flags_list)
 
     def generate(self, n_ticks: int, rng: np.random.Generator) -> OnOffSeries:
@@ -94,6 +86,8 @@ class OnOffGenerator:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(burst_starts, burst_lengths) covering n_ticks, for correlation
         synthesis where members copy individual bursts."""
+        if n_ticks <= 0:
+            raise ConfigError("n_ticks must be positive")
         lengths, flags = self._draw_runs(n_ticks, rng)
         starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
         keep = flags & (starts < n_ticks)
@@ -123,34 +117,41 @@ def correlated_utilization(
     """
     if n_members <= 0:
         raise ConfigError("need at least one member")
+    if n_ticks <= 0:
+        raise ConfigError("n_ticks must be positive")
     generator = OnOffGenerator(profile)
+    tick_noise = profile.intensity.tick_noise
+    # Bursts are painted onto zeros with values >= 0.501, so hot == util > 0.
     util = np.zeros((n_ticks, n_members))
-    hot = np.zeros((n_ticks, n_members), dtype=bool)
 
-    def paint(member: int, start: int, length: int, intensity: float) -> None:
-        stop = start + length
-        noise = rng.normal(0.0, profile.intensity.tick_noise, size=stop - start)
-        segment = np.clip(intensity + noise, 0.501, 1.0)
-        util[start:stop, member] = np.maximum(util[start:stop, member], segment)
-        hot[start:stop, member] = True
-
+    # Shared bursts are disjoint, so each is a plain write; k members'
+    # consecutive noise draws are one (k, length) draw.
     if shared_fraction > 0.0 and participation > 0.0 and n_members > 1:
         starts, lengths = generator.generate_mask_runs(n_ticks, rng)
         intensities = profile.intensity.sample(rng, len(starts))
-        for index in range(len(starts)):
+        for start, length, intensity in zip(
+            starts.tolist(), lengths.tolist(), intensities.tolist()
+        ):
             members = np.flatnonzero(rng.random(n_members) < participation)
-            for member in members:
-                paint(int(member), int(starts[index]), int(lengths[index]), float(intensities[index]))
+            noise = rng.normal(0.0, tick_noise, size=(len(members), length))
+            util[start : start + length, members] = np.clip(intensity + noise.T, 0.501, 1.0)
 
+    # A member's private runs are disjoint: one max-write paints them all.
     private_share = 1.0 - shared_fraction if n_members > 1 else 1.0
     if private_share > 0.0:
         for member in range(n_members):
             starts, lengths = generator.generate_mask_runs(n_ticks, rng)
             keep = np.flatnonzero(rng.random(len(starts)) < private_share)
             intensities = profile.intensity.sample(rng, len(keep))
-            for intensity, index in zip(intensities, keep):
-                paint(member, int(starts[index]), int(lengths[index]), float(intensity))
+            kept_lengths = lengths[keep]
+            total = int(kept_lengths.sum())
+            noise = rng.normal(0.0, tick_noise, size=total)
+            run_offsets = np.cumsum(kept_lengths) - kept_lengths
+            ticks = np.repeat(starts[keep] - run_offsets, kept_lengths) + np.arange(total)
+            segment = np.clip(np.repeat(intensities, kept_lengths) + noise, 0.501, 1.0)
+            util[ticks, member] = np.maximum(util[ticks, member], segment)
 
+    hot = util > 0
     for member in range(n_members):
         cold = ~hot[:, member]
         util[cold, member] = profile.cold.sample(rng, int(cold.sum()))

@@ -10,6 +10,7 @@ the real sampler produces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,40 +42,41 @@ def _ecmp_weight_segments(
     reweighting after failures): a weight of 0 removes a link from the
     hash entirely, fractional weights shrink its share of flows.
     """
+    if n_flows <= 0:
+        raise ConfigError("n_flows must be positive")
     if link_weights is None:
         probabilities = np.full(n_links, 1.0 / n_links)
     else:
         link_weights = np.asarray(link_weights, dtype=np.float64)
-        if link_weights.shape != (n_links,) or link_weights.min() < 0:
-            raise ConfigError("link_weights must be non-negative, one per link")
+        finite = np.isfinite(link_weights).all()
+        if link_weights.shape != (n_links,) or not finite or link_weights.min() < 0:
+            raise ConfigError("link_weights must be finite and non-negative, one per link")
         total = link_weights.sum()
         if total <= 0:
             raise ConfigError("at least one link must have positive weight")
         probabilities = link_weights / total
+    # Generator.choice(n_links, p=probabilities) without its per-call checks.
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
 
-    def choose_links(count: int) -> np.ndarray:
-        return rng.choice(n_links, size=count, p=probabilities)
-
-    links = choose_links(n_flows)
+    links = cdf.searchsorted(rng.random(n_flows), side="right")
     weights = rng.gamma(weight_shape, 1.0, size=n_flows)
     deaths = rng.exponential(mean_lifetime_ticks, size=n_flows)
     shares = np.empty((n_ticks, n_links))
     t = 0
     while t < n_ticks:
         next_death = float(deaths.min())
-        segment_end = min(n_ticks, int(np.ceil(next_death)) + t) if next_death > 0 else t + 1
+        segment_end = min(n_ticks, math.ceil(next_death) + t) if next_death > 0 else t + 1
         segment_end = max(segment_end, t + 1)
-        link_weights = np.bincount(links, weights=weights, minlength=n_links)
-        total = link_weights.sum()
-        shares[t:segment_end] = link_weights / total if total > 0 else 1.0 / n_links
-        elapsed = segment_end - t
-        deaths -= elapsed
-        dead = deaths <= 0
-        n_dead = int(dead.sum())
-        if n_dead:
-            links[dead] = choose_links(n_dead)
-            weights[dead] = rng.gamma(weight_shape, 1.0, size=n_dead)
-            deaths[dead] = rng.exponential(mean_lifetime_ticks, size=n_dead)
+        link_load = np.bincount(links, weights=weights, minlength=n_links)
+        total = link_load.sum()
+        shares[t:segment_end] = link_load / total if total > 0 else 1.0 / n_links
+        deaths -= segment_end - t
+        dead = np.flatnonzero(deaths <= 0)
+        if len(dead):
+            links[dead] = cdf.searchsorted(rng.random(len(dead)), side="right")
+            weights[dead] = rng.gamma(weight_shape, 1.0, size=len(dead))
+            deaths[dead] = rng.exponential(mean_lifetime_ticks, size=len(dead))
         t = segment_end
     return shares
 
@@ -210,10 +212,9 @@ class RackSynthesizer:
         corr = self.profile.correlation
         util = np.empty((n_ticks, self.n_downlinks), dtype=np.float64)
         group_size = min(corr.group_size, self.n_downlinks)
-        start = 0
-        while start < self.n_downlinks:
+        for start in range(0, self.n_downlinks, group_size):
             size = min(group_size, self.n_downlinks - start)
-            group_util, _hot = correlated_utilization(
+            util[:, start : start + size], _hot = correlated_utilization(
                 n_members=size,
                 n_ticks=n_ticks,
                 profile=self.profile.downlink,
@@ -221,8 +222,6 @@ class RackSynthesizer:
                 shared_fraction=corr.shared_fraction,
                 rng=rng,
             )
-            util[:, start : start + size] = group_util
-            start += size
         return util
 
     def uplink_matrix(

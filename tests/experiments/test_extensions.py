@@ -145,6 +145,13 @@ class TestEcmpLinkWeights:
                 100, 4, 4, 100.0, 1.0, rng, link_weights=np.zeros(4)
             )
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_weight_rejected(self, rng, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            _ecmp_weight_segments(
+                100, 4, 4, 100.0, 1.0, rng, link_weights=np.array([1.0, bad, 1.0, 1.0])
+            )
+
     def test_wrong_shape_rejected(self, rng):
         with pytest.raises(ConfigError):
             _ecmp_weight_segments(

@@ -1,10 +1,14 @@
-"""Scalar reference oracles for the vectorized analysis kernels.
+"""Scalar reference oracles for the vectorized analysis and synth kernels.
 
 The analysis pipeline runs on numpy kernels (wrap-corrected deltas, gap
 masks, run-length and burst extraction, ECDF construction/evaluation,
 the streaming burst fold).  This module holds deliberately naive
 pure-Python versions of the same computations, kept as executable
-specifications.  ``tests/property/test_kernel_equivalence.py`` asserts
+specifications.  The synthesizer's draw loops (ECMP link assignment,
+burst durations, correlated burst painting) are kept here in their
+original one-draw-per-call form; the bulk-draw versions must consume the
+same random stream and produce the same bytes.
+``tests/property/test_kernel_equivalence.py`` asserts
 the kernels match them exactly — dtype and all — on arbitrary inputs, so
 the fast paths can be optimized freely without silently changing
 results.  ``benchmarks/bench_parallel.py`` times the kernels against them.
@@ -19,7 +23,9 @@ import numpy as np
 
 from repro.core.samples import CounterTrace, ValueKind
 from repro.core.streaming import StreamingBurstStats
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigError
+from repro.synth.calibration import DurationModel, PortProfile
+from repro.synth.onoff import OnOffGenerator
 
 # -- cumulative-counter deltas ---------------------------------------------------
 
@@ -239,3 +245,119 @@ def scalar_ecdf_probs(sorted_samples: np.ndarray, xs: np.ndarray) -> np.ndarray:
                 break
         probs.append(count / n)
     return np.asarray(probs, dtype=np.float64).reshape(xs.shape)
+
+
+# -- rack synthesis draw loops -------------------------------------------------
+
+
+def loop_ecmp_weight_segments(
+    n_ticks: int,
+    n_links: int,
+    n_flows: int,
+    mean_lifetime_ticks: float,
+    weight_shape: float,
+    rng: np.random.Generator,
+    link_weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Reference churning-ECMP shares: one ``rng.choice(p=...)`` per call."""
+    if link_weights is None:
+        probabilities = np.full(n_links, 1.0 / n_links)
+    else:
+        link_weights = np.asarray(link_weights, dtype=np.float64)
+        if link_weights.shape != (n_links,) or link_weights.min() < 0:
+            raise ConfigError("link_weights must be non-negative, one per link")
+        total = link_weights.sum()
+        if total <= 0:
+            raise ConfigError("at least one link must have positive weight")
+        probabilities = link_weights / total
+
+    def choose_links(count: int) -> np.ndarray:
+        return rng.choice(n_links, size=count, p=probabilities)
+
+    links = choose_links(n_flows)
+    weights = rng.gamma(weight_shape, 1.0, size=n_flows)
+    deaths = rng.exponential(mean_lifetime_ticks, size=n_flows)
+    shares = np.empty((n_ticks, n_links))
+    t = 0
+    while t < n_ticks:
+        next_death = float(deaths.min())
+        segment_end = min(n_ticks, int(np.ceil(next_death)) + t) if next_death > 0 else t + 1
+        segment_end = max(segment_end, t + 1)
+        link_weights = np.bincount(links, weights=weights, minlength=n_links)
+        total = link_weights.sum()
+        shares[t:segment_end] = link_weights / total if total > 0 else 1.0 / n_links
+        elapsed = segment_end - t
+        deaths -= elapsed
+        dead = deaths <= 0
+        n_dead = int(dead.sum())
+        if n_dead:
+            links[dead] = choose_links(n_dead)
+            weights[dead] = rng.gamma(weight_shape, 1.0, size=n_dead)
+            deaths[dead] = rng.exponential(mean_lifetime_ticks, size=n_dead)
+        t = segment_end
+    return shares
+
+
+def loop_duration_sample(model: DurationModel, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Reference burst durations: one masked pass per head-pmf entry."""
+    if n <= 0:
+        return np.zeros(0, dtype=np.int64)
+    u = rng.random(n)
+    out = np.zeros(n, dtype=np.int64)
+    cum = 0.0
+    remaining = np.ones(n, dtype=bool)
+    for k, p in enumerate(model.head):
+        cum += p
+        hit = remaining & (u < cum)
+        out[hit] = k + 1
+        remaining &= ~hit
+    n_tail = int(remaining.sum())
+    if n_tail:
+        extra = rng.geometric(1.0 - model.tail_decay, size=n_tail) - 1
+        out[remaining] = len(model.head) + 1 + extra
+    return out
+
+
+def loop_correlated_utilization(
+    n_members: int,
+    n_ticks: int,
+    profile: PortProfile,
+    participation: float,
+    shared_fraction: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference correlated utilization: one ``paint`` per (burst, member)."""
+    if n_members <= 0:
+        raise ConfigError("need at least one member")
+    generator = OnOffGenerator(profile)
+    util = np.zeros((n_ticks, n_members))
+    hot = np.zeros((n_ticks, n_members), dtype=bool)
+
+    def paint(member: int, start: int, length: int, intensity: float) -> None:
+        stop = start + length
+        noise = rng.normal(0.0, profile.intensity.tick_noise, size=stop - start)
+        segment = np.clip(intensity + noise, 0.501, 1.0)
+        util[start:stop, member] = np.maximum(util[start:stop, member], segment)
+        hot[start:stop, member] = True
+
+    if shared_fraction > 0.0 and participation > 0.0 and n_members > 1:
+        starts, lengths = generator.generate_mask_runs(n_ticks, rng)
+        intensities = profile.intensity.sample(rng, len(starts))
+        for index in range(len(starts)):
+            members = np.flatnonzero(rng.random(n_members) < participation)
+            for member in members:
+                paint(int(member), int(starts[index]), int(lengths[index]), float(intensities[index]))
+
+    private_share = 1.0 - shared_fraction if n_members > 1 else 1.0
+    if private_share > 0.0:
+        for member in range(n_members):
+            starts, lengths = generator.generate_mask_runs(n_ticks, rng)
+            keep = np.flatnonzero(rng.random(len(starts)) < private_share)
+            intensities = profile.intensity.sample(rng, len(keep))
+            for intensity, index in zip(intensities, keep):
+                paint(member, int(starts[index]), int(lengths[index]), float(intensity))
+
+    for member in range(n_members):
+        cold = ~hot[:, member]
+        util[cold, member] = profile.cold.sample(rng, int(cold.sum()))
+    return util, hot

@@ -84,6 +84,14 @@ class TestIntensityCold:
         with pytest.raises(ConfigError):
             IntensityModel(components=((1.0, 0.3, 0.8),))  # low below threshold
 
+    def test_intensity_rejects_zero_total_weight(self):
+        with pytest.raises(ConfigError, match="sum to a positive value"):
+            IntensityModel(components=((0.0, 0.6, 0.8), (0.0, 0.8, 1.0)))
+
+    def test_intensity_rejects_nonfinite_weight(self):
+        with pytest.raises(ConfigError):
+            IntensityModel(components=((float("nan"), 0.6, 0.8), (1.0, 0.8, 1.0)))
+
     def test_cold_validation(self):
         with pytest.raises(ConfigError):
             ColdUtilModel(median=0.0, sigma=1.0)

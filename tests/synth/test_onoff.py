@@ -62,6 +62,11 @@ class TestMaskRuns:
         assert np.all(starts + lengths <= 10_000)
         assert np.all(lengths >= 1)
 
+    @pytest.mark.parametrize("n_ticks", [0, -5])
+    def test_nonpositive_ticks_rejected(self, web_profile, rng, n_ticks):
+        with pytest.raises(ConfigError, match="n_ticks must be positive"):
+            OnOffGenerator(web_profile).generate_mask_runs(n_ticks, rng)
+
 
 class TestCorrelatedUtilization:
     def test_shapes(self, rng):
@@ -94,3 +99,9 @@ class TestCorrelatedUtilization:
     def test_validation(self, rng):
         with pytest.raises(ConfigError):
             correlated_utilization(0, 100, APP_PROFILES["web"].downlink, 0.5, 0.5, rng)
+
+    @pytest.mark.parametrize("n_ticks", [0, -5])
+    def test_nonpositive_ticks_rejected(self, rng, n_ticks):
+        profile = APP_PROFILES["cache"].downlink
+        with pytest.raises(ConfigError, match="n_ticks must be positive"):
+            correlated_utilization(4, n_ticks, profile, 0.9, 0.9, rng)

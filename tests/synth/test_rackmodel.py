@@ -54,6 +54,11 @@ class TestEcmpSegments:
         # with lifetime 100 ticks, shares at t=0 and t=40000 should differ
         assert not np.allclose(shares[0], shares[-1])
 
+    @pytest.mark.parametrize("n_flows", [0, -1])
+    def test_nonpositive_flow_count_rejected(self, rng, n_flows):
+        with pytest.raises(ConfigError, match="n_flows must be positive"):
+            _ecmp_weight_segments(100, 4, n_flows, 300.0, 1.0, rng)
+
 
 class TestSynthesizeWindow:
     @pytest.fixture(scope="class")
