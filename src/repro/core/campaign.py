@@ -363,11 +363,11 @@ class MeasurementCampaign:
         trace_file = None
         if traces:
             archive = self._trace_path(outcome.index)
-            save_traces(archive, traces)
+            size = save_traces(archive, traces)
             trace_file = archive.name
             get_registry().counter(
                 "campaign.checkpoint_bytes", "bytes persisted to window checkpoints"
-            ).inc(archive.stat().st_size)
+            ).inc(size)
         self._append_manifest(
             {
                 "index": outcome.index,
