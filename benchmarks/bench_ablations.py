@@ -150,6 +150,10 @@ def test_ablation_unified_drop_model(benchmark, capsys):
         for _ in range(40):  # 40 windows at varying load
             activity = float(np.clip(rng.lognormal(0.0, 1.0), 0.05, 4.0))
             window = synthesizer.synthesize(20_000, rng, activity=activity)
+            # The window draws its uplinks from ``rng`` on first read; read
+            # them now so the next activity draw continues the stream where
+            # a full window's draws end, as it always has.
+            window.uplink_ingress_util
             downlinks = window.downlink_util
             hot = downlinks > 0.5
             concurrency = hot.sum(axis=1)

@@ -220,10 +220,9 @@ class NetsimBackend:
         registry.gauge(
             "netsim.peak_heap_size", "largest event-heap footprint seen"
         ).set_max(sim.queue.peak_heap_size)
-        if elapsed_ns > 0:
-            registry.gauge(
-                "netsim.events_per_sec", "engine throughput high-water mark"
-            ).set_max(sim.events_processed * 1e9 / elapsed_ns)
+        registry.counter(
+            "netsim.wall_ns", "host ns spent building and running windows"
+        ).inc(elapsed_ns)
 
     def _sample(
         self, window: CampaignWindow, make_bindings

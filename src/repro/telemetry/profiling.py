@@ -3,9 +3,12 @@
 Sec 4.1 reports the framework's own CPU cost alongside its precision;
 these hooks give the pipeline the same self-accounting: wrap a stage in
 :func:`profile_stage` and its CPU time (user+system, via ``resource``),
-wall time, and peak RSS land in the metrics registry as gauges —
-``profile.<stage>.cpu_ns`` / ``.wall_ns`` / ``.peak_rss_bytes`` — plus
+wall time, and RSS growth land in the metrics registry as gauges —
+``profile.<stage>.cpu_ns`` / ``.wall_ns`` / ``.rss_growth_bytes`` — plus
 ``.py_heap_peak_bytes`` when tracemalloc profiling is requested.
+``rss_growth_bytes`` is how far the stage raised the process's RSS
+high-water mark (``ru_maxrss`` after minus before), so a stage that runs
+after a larger one reads 0 instead of repeating that stage's peak.
 
 Profiling is opt-in (``set_profiling(True)``, the CLI's ``--profile``,
 or ``REPRO_PROFILE=1``): when off, :func:`profile_stage` yields
@@ -59,7 +62,7 @@ def _peak_rss_bytes() -> int:
 
 @contextmanager
 def profile_stage(stage: str, trace_malloc: bool = False) -> Iterator[None]:
-    """Record one stage's CPU/wall/RSS cost into the metrics registry.
+    """Record one stage's CPU/wall/RSS-growth cost into the metrics registry.
 
     ``trace_malloc=True`` additionally snapshots the Python heap's
     traced peak via :mod:`tracemalloc` (started/stopped around the stage
@@ -81,6 +84,7 @@ def profile_stage(stage: str, trace_malloc: bool = False) -> Iterator[None]:
             tracemalloc.reset_peak()
     cpu_before = _cpu_ns()
     wall_before = time.monotonic_ns()
+    rss_before = _peak_rss_bytes()
     try:
         yield
     finally:
@@ -88,7 +92,9 @@ def profile_stage(stage: str, trace_malloc: bool = False) -> Iterator[None]:
             time.monotonic_ns() - wall_before
         )
         registry.gauge(f"profile.{stage}.cpu_ns").set_max(_cpu_ns() - cpu_before)
-        registry.gauge(f"profile.{stage}.peak_rss_bytes").set_max(_peak_rss_bytes())
+        registry.gauge(f"profile.{stage}.rss_growth_bytes").set_max(
+            _peak_rss_bytes() - rss_before
+        )
         if trace_malloc and tracemalloc is not None:
             _current, peak = tracemalloc.get_traced_memory()
             registry.gauge(f"profile.{stage}.py_heap_peak_bytes").set_max(peak)

@@ -341,6 +341,23 @@ def test_weighted_ecmp_matches_oracle(app, link_weights):
     )
 
 
+@pytest.mark.parametrize("mean_lifetime_ticks", [0.3, 1.0, 150.0])
+@pytest.mark.parametrize("n_flows", [1, 64])
+@pytest.mark.parametrize("n_links", [1, 3, 9, 16])
+def test_ecmp_matches_oracle_across_shapes(n_links, n_flows, mean_lifetime_ticks):
+    """Link counts on both sides of NumPy's 8-wide pairwise sum, one flow
+    and many, and lifetimes short enough for several deaths per step."""
+    half_dead = np.resize([1.0, 0.0], n_links) if n_links > 1 else None
+    for link_weights in (None, half_dead):
+        for seed in (0, 1):
+            args = (2_000, n_links, n_flows, mean_lifetime_ticks, 1.3)
+            fast_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert_same_draws(
+                [_ecmp_weight_segments(*args, fast_rng, link_weights=link_weights)], fast_rng,
+                [loop_ecmp_weight_segments(*args, loop_rng, link_weights=link_weights)], loop_rng,
+            )
+
+
 @pytest.mark.parametrize("app", sorted(APP_PROFILES))
 def test_intensity_sample_matches_choice(app):
     model: IntensityModel = APP_PROFILES[app].downlink.intensity

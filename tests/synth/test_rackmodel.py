@@ -1,18 +1,23 @@
 """Rack synthesizer tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.backends import SynthBackend, rack_window_spec
 from repro.core.samples import ValueKind
 from repro.errors import ConfigError
+from repro.experiments.registry import run_experiment
 from repro.synth.calibration import APP_PROFILES
 from repro.synth.rackmodel import (
     RackSynthesizer,
+    RackWindow,
     _ecmp_weight_segments,
     synthesize_size_histogram,
     utilization_to_byte_trace,
 )
-from repro.units import gbps, us
+from repro.units import gbps, ms, us
 
 
 class TestByteTraceConversion:
@@ -100,6 +105,90 @@ class TestSynthesizeWindow:
         quiet = syn.synthesize(100_000, np.random.default_rng(1), activity=0.05)
         busy = syn.synthesize(100_000, np.random.default_rng(1), activity=2.0)
         assert (quiet.downlink_util > 0.5).mean() < (busy.downlink_util > 0.5).mean() / 3
+
+
+class TestDeferredUplinks:
+    """A synthesized window draws its uplinks from its own generator on
+    first read, egress before ingress, whatever the read order."""
+
+    N_TICKS = 4_000
+
+    def window(self, seed=5):
+        return RackSynthesizer("web").synthesize(
+            self.N_TICKS, np.random.default_rng(seed), activity=0.5
+        )
+
+    def test_read_order_does_not_change_bytes(self):
+        egress_first = self.window()
+        egress = egress_first.uplink_egress_util.tobytes()
+        ingress = egress_first.uplink_ingress_util.tobytes()
+        ingress_first = self.window()
+        assert ingress_first.uplink_ingress_util.tobytes() == ingress
+        assert ingress_first.uplink_egress_util.tobytes() == egress
+        assert egress != ingress
+
+    def test_drawn_matrix_is_cached(self):
+        window = self.window()
+        assert window.uplink_egress_util is window.uplink_egress_util
+        assert window.uplink_ingress_util is window.uplink_ingress_util
+
+    def test_shape_reads_do_not_draw(self):
+        rng = np.random.default_rng(5)
+        window = RackSynthesizer("web").synthesize(self.N_TICKS, rng, activity=0.5)
+        state = rng.bit_generator.state
+        assert (window.n_ticks, window.n_downlinks, window.n_uplinks) == (
+            self.N_TICKS, 16, 4
+        )
+        assert rng.bit_generator.state == state
+        window.uplink_egress_util
+        assert rng.bit_generator.state != state
+
+    def test_undrawn_window_survives_pickle(self):
+        window = self.window()
+        copy = pickle.loads(pickle.dumps(window))
+        assert copy.downlink_util.tobytes() == window.downlink_util.tobytes()
+        for matrix in ("uplink_ingress_util", "uplink_egress_util"):
+            assert getattr(copy, matrix).tobytes() == getattr(window, matrix).tobytes()
+
+    def test_measured_window_needs_both_uplinks(self):
+        util = np.zeros((10, 4))
+        with pytest.raises(ConfigError, match="both uplink matrices"):
+            RackWindow("web", us(25), gbps(10), gbps(10), util, uplink_egress_util=util)
+
+
+class TestUplinkDrawsPerReader:
+    """Each rack reader draws only the uplink matrices it reads."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        original = RackSynthesizer.uplink_matrix
+
+        def spy(self, *args, **kwargs):
+            counted.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RackSynthesizer, "uplink_matrix", spy)
+        return counted
+
+    @pytest.mark.parametrize(
+        ("experiment", "kwargs", "per_window", "n_windows"),
+        [
+            ("fig7", {"duration_s": 0.05}, 2, 3),
+            ("fig8", {"duration_s": 0.05}, 0, 3),
+            ("fig9", {"duration_s": 0.05}, 1, 3),
+            ("fig10", {"duration_s": 0.4, "n_activity_windows": 2}, 1, 6),
+        ],
+    )
+    def test_figure(self, calls, experiment, kwargs, per_window, n_windows):
+        run_experiment(experiment, seed=0, **kwargs)
+        assert len(calls) == per_window * n_windows
+
+    def test_buffer_window(self, calls):
+        SynthBackend(seed=0).sample_buffer_window(
+            rack_window_spec("cache", ms(20), experiment="buffer")
+        )
+        assert len(calls) == 1
 
 
 class TestSizeHistogram:

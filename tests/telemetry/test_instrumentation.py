@@ -27,7 +27,7 @@ from repro.core.samples import CounterTrace, ValueKind
 from repro.core.traceio import load_traces, save_traces
 from repro.errors import CollectionError, CounterError
 from repro.faults import FaultInjector, FaultPlan
-from repro.telemetry.metrics import scoped_registry, set_enabled
+from repro.telemetry.metrics import MetricsRegistry, scoped_registry, set_enabled
 from repro.units import gbps, seconds, us
 
 SPEC = CounterSpec("p.tx_bytes", CounterKind.BYTE, rate_bps=gbps(10))
@@ -108,6 +108,41 @@ class TestTelemetryNeverTouchesData:
         finally:
             set_enabled(True)
         assert enabled_crc == disabled_crc
+
+
+class TestNetsimTelemetry:
+    """Engine rates are derived from counters, so they survive shard merges."""
+
+    @pytest.fixture(scope="class")
+    def snapshots(self):
+        from repro.backends import NetsimBackend, NetsimScale
+        from repro.units import ms
+
+        snapshots = []
+        for seed in (0, 1):
+            window = single_port_plan("web", 1, ms(2), seed=seed, port="down0").windows[0]
+            with scoped_registry() as registry:
+                NetsimBackend(seed=seed, scale=NetsimScale.smoke()).sample_window(window)
+                snapshots.append(registry.snapshot())
+        return snapshots
+
+    def test_window_counts_events_and_wall_time(self, snapshots):
+        for snapshot in snapshots:
+            assert snapshot["counters"]["netsim.events_processed"] > 0
+            assert snapshot["counters"]["netsim.wall_ns"] > 0
+
+    def test_merged_shards_sum_both_counters(self, snapshots):
+        merged = MetricsRegistry()
+        for snapshot in snapshots:
+            merged.merge_snapshot(snapshot)
+        counters = merged.snapshot()["counters"]
+        for name in ("netsim.events_processed", "netsim.wall_ns"):
+            assert counters[name] == sum(s["counters"][name] for s in snapshots)
+
+    def test_no_rate_metric(self, snapshots):
+        for snapshot in snapshots:
+            names = [name for kind in ("counters", "gauges", "histograms") for name in snapshot[kind]]
+            assert not any("events_per_sec" in name for name in names)
 
 
 class TestCollectorTelemetry:
