@@ -217,8 +217,8 @@ def burst_cdf_delta_bound(
     exactly (``n_clipped_bursts``, observable): each contributes at most
     one mismatched entry on each side of the comparison.  Bursts hidden
     entirely inside gaps are, for loss that is independent of utilization
-    (collector backpressure, export loss), a uniform random subsample of
-    the true burst population — their effect is sampling noise, covered
+    (export loss, say), a uniform random subsample of the true burst
+    population — their effect is sampling noise, covered
     by the Dvoretzky–Kiefer–Wolfowitz term at the given confidence.
     """
     if n_observed_bursts <= 0:

@@ -129,8 +129,6 @@ def single_port_plan(
     window_duration_ns: int,
     seed: int = 0,
     port: str | None = None,
-    n_downlinks: int = DEFAULT_N_DOWNLINKS,
-    n_uplinks: int = DEFAULT_N_UPLINKS,
 ) -> CampaignPlan:
     """The per-application single-counter campaign every fig/tab
     experiment runs: ``n_windows`` windows, one measured port each.
@@ -146,7 +144,7 @@ def single_port_plan(
         raise ConfigError("need at least one window")
     if window_duration_ns <= 0:
         raise ConfigError("window duration must be positive")
-    port_names = default_port_names(n_downlinks, n_uplinks)
+    port_names = default_port_names()
     windows = []
     for index in range(n_windows):
         if port is None:
@@ -172,7 +170,6 @@ def rack_window_spec(
     duration_ns: int,
     experiment: str = "rack",
     index: int = 0,
-    port: str = "down0",
 ) -> CampaignWindow:
     """One ad-hoc campaign window for whole-rack / histogram sampling.
 
@@ -185,7 +182,7 @@ def rack_window_spec(
     return CampaignWindow(
         rack_id=f"{app}-{experiment}",
         rack_type=app,
-        port_name=port,
+        port_name="down0",
         hour=index,
         start_ns=0,
         duration_ns=duration_ns,

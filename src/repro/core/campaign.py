@@ -7,10 +7,10 @@ variation while respecting data-retention limits.
 
 Collection is *resilient*: the measurement plane is best-effort by design
 (Table 1), so :class:`MeasurementCampaign` treats window failures as
-first-class — bounded retry with backoff, optional per-window timeouts,
-partial results with per-window status, and JSON-lines checkpointing so
-an interrupted 24-hour campaign resumes at the last completed window
-instead of being discarded.
+first-class — bounded retry with backoff, partial results with
+per-window status, and JSON-lines checkpointing so an interrupted
+24-hour campaign resumes at the last completed window instead of being
+discarded.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol
@@ -166,15 +165,12 @@ class RetryPolicy:
     max_attempts: int = 3
     backoff_s: float = 0.05
     backoff_factor: float = 2.0
-    window_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts <= 0:
             raise ConfigError("max_attempts must be positive")
         if self.backoff_s < 0 or self.backoff_factor < 1.0:
             raise ConfigError("backoff must be non-negative and non-shrinking")
-        if self.window_timeout_s is not None and self.window_timeout_s <= 0:
-            raise ConfigError("window timeout must be positive")
 
 
 @dataclass(slots=True)
@@ -380,23 +376,6 @@ class MeasurementCampaign:
 
     # -- collection --------------------------------------------------------------
 
-    def _collect_once(self, window: CampaignWindow) -> dict[str, CounterTrace]:
-        timeout = self.retry.window_timeout_s if self.retry else None
-        if timeout is None:
-            return self.backend.sample_window(window)
-        # One worker per attempt: a hung collection must not poison later
-        # windows.  The abandoned worker is left to finish on its own.
-        pool = ThreadPoolExecutor(max_workers=1)
-        future = pool.submit(self.backend.sample_window, window)
-        finished, _ = wait([future], timeout=timeout, return_when=FIRST_COMPLETED)
-        if not finished:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise CollectionError(
-                f"window {window.rack_id}/h{window.hour} timed out after {timeout}s"
-            )
-        pool.shutdown(wait=False)
-        return future.result()
-
     @staticmethod
     def _is_degraded(traces: dict[str, CounterTrace]) -> bool:
         return any(trace.meta.get("samples_dropped", 0) > 0 for trace in traces.values())
@@ -410,7 +389,7 @@ class MeasurementCampaign:
         last_error = ""
         for attempt in range(1, retry.max_attempts + 1):
             try:
-                traces = self._collect_once(window)
+                traces = self.backend.sample_window(window)
             except ReproError as exc:
                 last_error = str(exc)
                 if self.retry is None:

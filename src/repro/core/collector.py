@@ -6,36 +6,28 @@ model the collector as an in-process sink with explicit batching, so the
 tests can assert on batching behaviour and the campaign code can account
 for data volume (the paper's 720 windows totalled 250 GB).
 
-The pending queue is optionally *bounded*: production collectors see
-backpressure, and a bounded queue with an explicit drop policy turns
-"collector fell behind" into counted, analyzable sample loss (gaps with
-true timestamps) instead of unbounded memory growth.
+Sample loss is the sampler's business, not the collector's: polling is
+best effort, and a missed instant is simply never recorded, so every
+sample that reaches :meth:`CollectorService.record` lands in a trace.
 
-Telemetry: drops, shipped batches/bytes, and the pending-queue
-high-water mark are mirrored into :mod:`repro.telemetry` —
-``collector.samples_dropped`` / ``.batches_shipped`` / ``.bytes_shipped``
-counters and the ``collector.queue_depth_high_water`` gauge — so
-"collector fell behind" is a scrapeable number, not just trace metadata.
+Telemetry: shipped batches and bytes are the
+``collector.batches_shipped`` / ``collector.bytes_shipped`` counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from repro.core.counters import CounterSpec
 from repro.core.samples import CounterTrace
-from repro.errors import CollectionError, ConfigError, CounterError
+from repro.errors import ConfigError, CounterError
 from repro.telemetry.metrics import get_registry
 
 #: Rough wire size of one sample record: 8-byte timestamp + 8-byte value
 #: per scalar (histogram counters count one value per bin).
 _BYTES_PER_SCALAR = 16
-
-#: What to do when a bounded pending queue overflows.
-DROP_POLICIES = ("drop_newest", "drop_oldest", "error")
 
 
 @dataclass(slots=True)
@@ -44,14 +36,6 @@ class _Stream:
     timestamps: list[int] = field(default_factory=list)
     values: list = field(default_factory=list)
     pending: int = 0
-    #: drops since the stream was last (re)attached — feeds the trace's
-    #: per-window ``samples_dropped`` meta
-    dropped: int = 0
-    #: lifetime drops across reattaches — feeds ``dropped_count`` and the
-    #: telemetry counter, and must never reset (the PR-1 drop tally was
-    #: silently zeroed when a stream was reattached for a new window)
-    dropped_total: int = 0
-    pending_high_water: int = 0
 
 
 class CollectorService:
@@ -62,68 +46,18 @@ class CollectorService:
     batch_size:
         Number of samples the switch CPU buffers per counter before
         shipping a batch to the collector.
-    queue_capacity:
-        Bound on unshipped samples per counter.  ``None`` (default) keeps
-        the historical unbounded behaviour.
-    drop_policy:
-        On overflow: ``"drop_newest"`` discards the incoming sample,
-        ``"drop_oldest"`` evicts the oldest unshipped sample, ``"error"``
-        raises :class:`~repro.errors.CollectionError`.  Dropped samples
-        leave gaps with true timestamps, which the gap-aware analysis
-        handles downstream.
-    ship_should_fail:
-        Optional fault hook ``(counter_name, batch_index) -> bool``; a
-        True return makes that batch ship fail (samples stay pending, so
-        sustained failures exercise the bounded queue).
     """
 
-    def __init__(
-        self,
-        batch_size: int = 512,
-        queue_capacity: int | None = None,
-        drop_policy: str = "drop_newest",
-        ship_should_fail: Callable[[str, int], bool] | None = None,
-    ) -> None:
+    def __init__(self, batch_size: int = 512) -> None:
         if batch_size <= 0:
             raise ConfigError("batch size must be positive")
-        if queue_capacity is not None and queue_capacity <= 0:
-            raise ConfigError("queue capacity must be positive")
-        if drop_policy not in DROP_POLICIES:
-            raise ConfigError(f"drop policy {drop_policy!r} not in {DROP_POLICIES}")
         self.batch_size = batch_size
-        self.queue_capacity = queue_capacity
-        self.drop_policy = drop_policy
-        self.ship_should_fail = ship_should_fail
         self._streams: dict[str, _Stream] = {}
-        self.batches_shipped = 0
-        self.bytes_shipped = 0
-        self.samples_dropped = 0
-        self.ship_failures = 0
 
-    def register(self, spec: CounterSpec, reattach: bool = False) -> None:
-        """Register a counter's stream, or with ``reattach=True`` reset an
-        existing stream's sample buffers for a new collection window.
-
-        Reattaching clears buffered samples and the per-window drop
-        count but *preserves* the lifetime drop tally
-        (:meth:`dropped_count`, ``samples_dropped``, and the telemetry
-        counter keep accumulating), so a collector reused across windows
-        reports true cumulative loss.
-        """
-        existing = self._streams.get(spec.name)
-        if existing is not None:
-            if not reattach:
-                raise CounterError(f"counter {spec.name!r} registered twice")
-            if existing.spec != spec:
-                raise CounterError(
-                    f"cannot reattach counter {spec.name!r} with a different spec"
-                )
-            existing.timestamps.clear()
-            existing.values.clear()
-            existing.pending = 0
-            existing.dropped = 0
-            existing.pending_high_water = 0
-            return
+    def register(self, spec: CounterSpec) -> None:
+        """Open a counter's stream."""
+        if spec.name in self._streams:
+            raise CounterError(f"counter {spec.name!r} registered twice")
         self._streams[spec.name] = _Stream(spec=spec)
 
     def record(self, name: str, timestamp_ns: int, value: int | tuple[int, ...]) -> None:
@@ -132,101 +66,34 @@ class CollectorService:
             stream = self._streams[name]
         except KeyError:
             raise CounterError(f"record for unregistered counter {name!r}") from None
-        if self.queue_capacity is not None and stream.pending >= self.queue_capacity:
-            if self.drop_policy == "error":
-                raise CollectionError(
-                    f"collector queue overflow on {name!r} "
-                    f"({stream.pending} pending >= capacity {self.queue_capacity})"
-                )
-            if self.drop_policy == "drop_newest":
-                self._count_drop(stream)
-                return
-            # drop_oldest: evict the oldest unshipped sample to make room.
-            oldest = len(stream.timestamps) - stream.pending
-            del stream.timestamps[oldest]
-            del stream.values[oldest]
-            stream.pending -= 1
-            self._count_drop(stream)
         stream.timestamps.append(timestamp_ns)
         stream.values.append(value)
         stream.pending += 1
-        if stream.pending > stream.pending_high_water:
-            stream.pending_high_water = stream.pending
         if stream.pending >= self.batch_size:
             self._ship(stream)
 
-    def _count_drop(self, stream: _Stream) -> None:
-        stream.dropped += 1
-        stream.dropped_total += 1
-        self.samples_dropped += 1
-        get_registry().counter(
-            "collector.samples_dropped",
-            "samples lost to bounded-queue overflow, lifetime",
-        ).inc()
-
-    def _ship(self, stream: _Stream, force: bool = False) -> None:
-        if (
-            not force
-            and self.ship_should_fail is not None
-            and self.ship_should_fail(stream.spec.name, self.batches_shipped)
-        ):
-            self.ship_failures += 1
-            get_registry().counter("collector.ship_failures").inc()
-            return
-        scalars = stream.pending
-        value = stream.values[-1] if stream.values else 0
+    @staticmethod
+    def _ship(stream: _Stream) -> None:
+        value = stream.values[-1]
         width = len(value) if isinstance(value, tuple) else 1
-        batch_bytes = scalars * width * _BYTES_PER_SCALAR
-        self.bytes_shipped += batch_bytes
-        self.batches_shipped += 1
-        stream.pending = 0
         registry = get_registry()
         registry.counter("collector.batches_shipped").inc()
-        registry.counter("collector.bytes_shipped").inc(batch_bytes)
-
-    @property
-    def counter_names(self) -> list[str]:
-        return list(self._streams)
-
-    def sample_count(self, name: str) -> int:
-        return len(self._streams[name].timestamps)
-
-    def dropped_count(self, name: str) -> int:
-        """Lifetime samples dropped from one counter's stream by the
-        bounded queue (survives :meth:`register` reattaches)."""
-        return self._streams[name].dropped_total
-
-    @property
-    def queue_depth_high_water(self) -> int:
-        """Highest pending-sample depth any stream has reached."""
-        if not self._streams:
-            return 0
-        return max(stream.pending_high_water for stream in self._streams.values())
+        registry.counter("collector.bytes_shipped").inc(
+            stream.pending * width * _BYTES_PER_SCALAR
+        )
+        stream.pending = 0
 
     def finalize(self) -> dict[str, CounterTrace]:
-        """Flush everything and return one trace per counter.
-
-        The final flush bypasses the ship-failure hook: finalize models
-        draining on shutdown, so remaining pending samples always land in
-        the returned traces (only queue overflow loses data).
-        """
+        """Flush everything and return one trace per counter."""
         traces: dict[str, CounterTrace] = {}
         for name, stream in self._streams.items():
             if stream.pending:
-                self._ship(stream, force=True)
-            values = np.asarray(stream.values)
-            kind = stream.spec.value_kind
-            meta = {"samples_dropped": stream.dropped} if stream.dropped else {}
+                self._ship(stream)
             traces[name] = CounterTrace(
                 timestamps_ns=np.asarray(stream.timestamps, dtype=np.int64),
-                values=values,
-                kind=kind,
+                values=np.asarray(stream.values),
+                kind=stream.spec.value_kind,
                 name=name,
                 rate_bps=stream.spec.rate_bps,
-                meta=meta,
             )
-        get_registry().gauge(
-            "collector.queue_depth_high_water",
-            "highest pending-sample depth reached by any stream",
-        ).set_max(self.queue_depth_high_water)
         return traces

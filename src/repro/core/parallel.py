@@ -2,15 +2,14 @@
 
 The paper's measurement plane polls 30 ToR switches *concurrently* for 24
 hours; this module gives the campaign runner the same shape.  A
-:class:`~repro.core.campaign.CampaignPlan` is sharded by (rack, window
-range) — a deterministic layout that depends only on the plan, never on
-the worker count — and each shard is executed by a full
-:class:`~repro.core.campaign.MeasurementCampaign` (its retry, timeout,
-and JSONL-checkpoint machinery, unchanged) inside a
-``ProcessPoolExecutor`` worker.  Shard results are merged back in plan
-order.  :class:`ParallelCampaign` is the package's one campaign driver:
-a serial run is ``workers=1``, which takes the same shard/merge path
-in-process.
+:class:`~repro.core.campaign.CampaignPlan` is sharded by rack — a
+deterministic layout that depends only on the plan, never on the worker
+count — and each shard is executed by a full
+:class:`~repro.core.campaign.MeasurementCampaign` (its retry and
+JSONL-checkpoint machinery, unchanged) inside a ``ProcessPoolExecutor``
+worker.  Shard results are merged back in plan order.
+:class:`ParallelCampaign` is the package's one campaign driver: a serial
+run is ``workers=1``, which takes the same shard/merge path in-process.
 
 Determinism contract
 --------------------
@@ -77,31 +76,21 @@ class Shard:
         return len(self.indices)
 
 
-def shard_plan(
-    plan: CampaignPlan, max_windows_per_shard: int | None = None
-) -> tuple[Shard, ...]:
-    """Deterministic (rack, window-range) sharding of a campaign plan.
+def shard_plan(plan: CampaignPlan) -> tuple[Shard, ...]:
+    """Deterministic per-rack sharding of a campaign plan.
 
-    Windows are grouped by rack (racks in order of first appearance, each
-    rack's windows in plan order — the paper's one-poller-per-ToR
-    discipline), then optionally split into chunks of at most
-    ``max_windows_per_shard`` windows so a single giant rack can still
-    fan out.  The layout depends only on ``(plan, max_windows_per_shard)``
-    — never on worker count — which is what makes checkpoints portable
-    across worker counts.
+    One shard per rack, racks in order of first appearance, each rack's
+    windows in plan order — the paper's one-poller-per-ToR discipline.
+    The layout depends only on the plan — never on worker count — which
+    is what makes checkpoints portable across worker counts.
     """
-    if max_windows_per_shard is not None and max_windows_per_shard <= 0:
-        raise ConfigError("max_windows_per_shard must be positive")
     by_rack: dict[str, list[int]] = {}
     for index, window in enumerate(plan.windows):
         by_rack.setdefault(window.rack_id, []).append(index)
-    shards: list[Shard] = []
-    for indices in by_rack.values():
-        step = max_windows_per_shard or len(indices) or 1
-        for start in range(0, len(indices), step):
-            chunk = indices[start : start + step]
-            shards.append(Shard(shard_id=len(shards), indices=tuple(chunk)))
-    return tuple(shards)
+    return tuple(
+        Shard(shard_id=shard_id, indices=tuple(indices))
+        for shard_id, indices in enumerate(by_rack.values())
+    )
 
 
 def _collect_shard(
@@ -152,8 +141,6 @@ class ParallelCampaign:
         (no pickling requirement) but keeps the identical shard/merge
         path and checkpoint layout, so results and checkpoints match the
         multi-worker run byte for byte.
-    max_windows_per_shard:
-        Optional cap splitting one rack's windows across several shards.
 
     Telemetry recorded inside every shard — including the ``faults.*``
     counters of a fault-injecting source — is merged into the ambient
@@ -167,7 +154,6 @@ class ParallelCampaign:
         retry: RetryPolicy | None = None,
         checkpoint_dir: str | Path | None = None,
         workers: int = 1,
-        max_windows_per_shard: int | None = None,
     ) -> None:
         if workers <= 0:
             raise ConfigError(f"workers must be positive, got {workers}")
@@ -176,7 +162,7 @@ class ParallelCampaign:
         self.retry = retry
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         self.workers = workers
-        self.shards = shard_plan(plan, max_windows_per_shard)
+        self.shards = shard_plan(plan)
 
     # -- checkpoint layout -------------------------------------------------------
 

@@ -137,26 +137,18 @@ class HighResSampler:
 
     # -- live mode ---------------------------------------------------------------
 
-    def run_in_sim(
-        self,
-        sim: Simulator,
-        duration_ns: int,
-        collector: CollectorService | None = None,
-    ) -> SamplerReport:
+    def run_in_sim(self, sim: Simulator, duration_ns: int) -> SamplerReport:
         """Attach to a running simulation and poll for ``duration_ns``.
 
-        The caller is responsible for driving ``sim`` afterwards (this
-        method schedules events and then runs the simulator to the end of
-        the window, interleaving polls with traffic).
+        This method schedules the polls and then runs the simulator to the
+        end of the window, interleaving polls with traffic; the samples
+        go through a fresh :class:`CollectorService`.
         """
         if duration_ns <= 0:
             raise ConfigError("duration must be positive")
-        collector = collector or CollectorService()
+        collector = CollectorService()
         for spec in self._specs:
-            # reattach=True: a long-lived collector reused across windows
-            # gets fresh sample buffers while keeping its lifetime drop
-            # tally intact.
-            collector.register(spec, reattach=True)
+            collector.register(spec)
         stats = TimingStats()
         interval = self.config.interval_ns
         n_instants = duration_ns // interval

@@ -21,7 +21,7 @@ from repro.errors import DataFormatError
 from repro.experiments.common import APPS, app_byte_traces
 from repro.units import NS_PER_US
 
-#: figure id -> (unit, extractor over per-window burst stats)
+#: figures with a release-format distribution (samples from ``_samples_for``)
 _EXPORTABLE = ("fig3", "fig4", "fig6")
 
 

@@ -33,8 +33,8 @@ class SamplingError(ReproError):
 
 
 class CollectionError(ReproError):
-    """A measurement window could not be collected (read failure, window
-    timeout, collector overflow with an ``error`` drop policy, ...).
+    """A measurement window could not be collected (read failure, failed
+    collection RPC, ...).
 
     Collection errors are *transient by contract*: the resilient campaign
     runner retries them with backoff before declaring the window failed.

@@ -204,9 +204,7 @@ def _chunked_sender_burstiness(pacing_rate_bps, seed: int):
     return stats
 
 
-def run_pacing(seed: int = 0, backend=None) -> ExperimentResult:
-    # ``backend`` accepted for pipeline uniformity; the pacing comparison
-    # is mechanistic (always packet-level netsim) regardless of backend.
+def run_pacing(seed: int = 0) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="ext-pacing",
         title="Sec 7: NIC pacing vs µburst intensity",
@@ -235,9 +233,7 @@ def run_pacing(seed: int = 0, backend=None) -> ExperimentResult:
 # --------------------------------------------------------------------------
 
 
-def run_failures(seed: int = 0, duration_s: float = 5.0, backend=None) -> ExperimentResult:
-    # ``backend`` accepted for pipeline uniformity; the failure study is
-    # mechanistic (Clos fabric + capacity factors) regardless of backend.
+def run_failures(seed: int = 0, duration_s: float = 5.0) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="ext-failures",
         title="Sec 6.1: imbalance under failure-induced asymmetry",

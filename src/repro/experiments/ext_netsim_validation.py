@@ -66,9 +66,7 @@ def _netsim_stats(app: str, seed: int, measure_ms: float):
     return stats, ratio
 
 
-def run(seed: int = 0, measure_ms: float = 150.0, backend=None) -> ExperimentResult:
-    # ``backend`` accepted for pipeline uniformity: this experiment always
-    # runs both planes (that is its purpose), whatever backend is selected.
+def run(seed: int = 0, measure_ms: float = 150.0) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="ext-netsim",
         title="Cross-validation: packet simulator vs synthesiser vs paper",

@@ -20,14 +20,8 @@ def run(
     seed: int = 0,
     n_links: int = 2000,
     samples_per_link: int = 24,
-    backend=None,
 ) -> ExperimentResult:
-    """Generate the scatter and report the correlation coefficient.
-
-    ``backend`` is accepted for pipeline uniformity but unused: Fig 1 is
-    an analytic population model (SNMP-granularity drop statistics), not
-    a counter-sampling experiment.
-    """
+    """Generate the scatter and report the correlation coefficient."""
     rng = np.random.default_rng(seed)
     population = CoarseLinkPopulation()
     n = n_links * samples_per_link
@@ -60,6 +54,4 @@ def run(
         "weak correlation arises because drop propensity is driven by an "
         "independent burstiness factor, not by average load"
     )
-    if backend is not None:
-        result.notes.append("analytic experiment: identical under every backend")
     return result

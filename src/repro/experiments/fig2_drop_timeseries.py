@@ -15,9 +15,7 @@ from repro.experiments.common import ExperimentResult
 from repro.synth.dropmodel import DropEpisodeModel
 
 
-def run(seed: int = 0, hours: int = 12, backend=None) -> ExperimentResult:
-    # ``backend`` accepted for pipeline uniformity; Fig 2 is an analytic
-    # episode model, identical under every backend.
+def run(seed: int = 0, hours: int = 12) -> ExperimentResult:
     rng = np.random.default_rng(seed)
     n_minutes = hours * 60
     low = DropEpisodeModel(episodes_per_hour=2.5).sample_minutes(n_minutes, rng)
@@ -57,6 +55,4 @@ def run(seed: int = 0, hours: int = 12, backend=None) -> ExperimentResult:
     result.add_series(
         "high_util_drops_per_min", [(float(i), float(v)) for i, v in enumerate(high)]
     )
-    if backend is not None:
-        result.notes.append("analytic experiment: identical under every backend")
     return result

@@ -72,20 +72,18 @@ def supports_workers(experiment_id: str) -> bool:
     return accepts_param(get_experiment(experiment_id), "workers")
 
 
-def supports_backend(experiment_id: str) -> bool:
-    """Whether an experiment takes a measurement backend selection."""
-    return accepts_param(get_experiment(experiment_id), "backend")
-
-
 #: pipeline-level parameters the CLI passes to every experiment; a runner
-#: that does not take one simply runs without it (``workers`` -> serial,
-#: ``backend`` -> the synth default).
+#: that does not take one simply runs without it (``workers`` -> serial;
+#: ``backend`` -> the run does not depend on it, and its result says so).
 ADVISORY_PARAMS = ("workers", "backend")
 
 
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
     runner = get_experiment(experiment_id)
-    for name in ADVISORY_PARAMS:
-        if name in kwargs and not accepts_param(runner, name):
-            kwargs = {k: v for k, v in kwargs.items() if k != name}
-    return runner(**kwargs)
+    dropped = {
+        name for name in ADVISORY_PARAMS if name in kwargs and not accepts_param(runner, name)
+    }
+    result = runner(**{k: v for k, v in kwargs.items() if k not in dropped})
+    if "backend" in dropped and kwargs["backend"] is not None:
+        result.notes.append("backend-independent experiment: identical under every backend")
+    return result

@@ -27,9 +27,7 @@ def _buffer_binding() -> CounterBinding:
     return CounterBinding(spec=spec, read=lambda: 0)
 
 
-def run(seed: int = 0, duration_s: float = 2.0, backend=None) -> ExperimentResult:
-    # ``backend`` accepted for pipeline uniformity; Table 1 exercises the
-    # polling-loop timing model directly, identical under every backend.
+def run(seed: int = 0, duration_s: float = 2.0) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="tab1",
         title="Sampling interval vs missed intervals (byte counter)",
@@ -79,6 +77,4 @@ def run(seed: int = 0, duration_s: float = 2.0, backend=None) -> ExperimentResul
         "precision traded for utilization",
         f"{dedicated.miss_rate:.3f} -> {shared.miss_rate:.3f}",
     )
-    if backend is not None:
-        result.notes.append("analytic experiment: identical under every backend")
     return result

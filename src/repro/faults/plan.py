@@ -35,8 +35,8 @@ class FaultPlan:
         are persistent and exhaust the retry budget).
     sample_loss_rate:
         Per-sample probability that an interior sample of a finished
-        trace is lost (a failed read, collector backpressure, lossy
-        export), leaving a gap — the paper's miss semantics.
+        trace is lost (a failed read or lossy export), leaving a gap —
+        the paper's miss semantics.
     wrap_bits:
         When set (32 for real ASIC registers), cumulative counter values
         are wrapped to this width, exercising wrap correction downstream.

@@ -13,8 +13,8 @@ pipeline:
   aggregate numbers.
 * :mod:`~repro.telemetry.spans` — context-manager spans with
   monotonic-ns timing and parent/child nesting, exported as JSONL.
-* :mod:`~repro.telemetry.profiling` — opt-in per-stage CPU time and
-  peak RSS (``resource``), plus tracemalloc heap peaks on request.
+* :mod:`~repro.telemetry.profiling` — opt-in per-stage CPU time, wall
+  time and RSS growth (``resource``).
 * :mod:`~repro.telemetry.export` — Prometheus text exposition and JSON
   snapshots, headers stamped with the package version + git describe.
 

@@ -329,7 +329,6 @@ class MetricsRegistry:
             )
         for key, label in (
             ("sampler.instants_missed", "sampler misses"),
-            ("collector.samples_dropped", "collector drops"),
             ("netsim.events_processed", "netsim events"),
             ("traceio.bytes_written", "trace bytes"),
         ):

@@ -4,18 +4,14 @@ Sec 4.1 reports the framework's own CPU cost alongside its precision;
 these hooks give the pipeline the same self-accounting: wrap a stage in
 :func:`profile_stage` and its CPU time (user+system, via ``resource``),
 wall time, and RSS growth land in the metrics registry as gauges —
-``profile.<stage>.cpu_ns`` / ``.wall_ns`` / ``.rss_growth_bytes`` — plus
-``.py_heap_peak_bytes`` when tracemalloc profiling is requested.
+``profile.<stage>.cpu_ns`` / ``.wall_ns`` / ``.rss_growth_bytes``.
 ``rss_growth_bytes`` is how far the stage raised the process's RSS
 high-water mark (``ru_maxrss`` after minus before), so a stage that runs
 after a larger one reads 0 instead of repeating that stage's peak.
 
 Profiling is opt-in (``set_profiling(True)``, the CLI's ``--profile``,
 or ``REPRO_PROFILE=1``): when off, :func:`profile_stage` yields
-immediately and touches neither ``resource`` nor the clock.  tracemalloc
-is a further opt-in on top because its allocation hooks slow Python by
-an order of magnitude — exactly the precision/cost trade the paper makes
-explicit.
+immediately and touches neither ``resource`` nor the clock.
 """
 
 from __future__ import annotations
@@ -61,27 +57,12 @@ def _peak_rss_bytes() -> int:
 
 
 @contextmanager
-def profile_stage(stage: str, trace_malloc: bool = False) -> Iterator[None]:
-    """Record one stage's CPU/wall/RSS-growth cost into the metrics registry.
-
-    ``trace_malloc=True`` additionally snapshots the Python heap's
-    traced peak via :mod:`tracemalloc` (started/stopped around the stage
-    when not already running).
-    """
+def profile_stage(stage: str) -> Iterator[None]:
+    """Record one stage's CPU/wall/RSS-growth cost into the metrics registry."""
     if not _PROFILING:
         yield
         return
     registry = get_registry()
-    started_tracemalloc = False
-    tracemalloc = None
-    if trace_malloc:
-        import tracemalloc
-
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            started_tracemalloc = True
-        else:
-            tracemalloc.reset_peak()
     cpu_before = _cpu_ns()
     wall_before = time.monotonic_ns()
     rss_before = _peak_rss_bytes()
@@ -95,8 +76,3 @@ def profile_stage(stage: str, trace_malloc: bool = False) -> Iterator[None]:
         registry.gauge(f"profile.{stage}.rss_growth_bytes").set_max(
             _peak_rss_bytes() - rss_before
         )
-        if trace_malloc and tracemalloc is not None:
-            _current, peak = tracemalloc.get_traced_memory()
-            registry.gauge(f"profile.{stage}.py_heap_peak_bytes").set_max(peak)
-            if started_tracemalloc:
-                tracemalloc.stop()

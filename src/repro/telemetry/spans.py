@@ -79,9 +79,8 @@ class Tracer:
     """Collects finished spans; exports them as JSON lines.
 
     Span ids are unique per tracer; parent/child nesting follows the
-    per-thread context stack, so concurrent threads (e.g. the campaign's
-    window-timeout workers) produce interleaved but correctly-parented
-    spans.
+    per-thread context stack, so concurrent threads produce interleaved
+    but correctly-parented spans.
     """
 
     def __init__(self) -> None:
@@ -121,19 +120,17 @@ class Tracer:
             with self._lock:
                 self.finished.append(record.as_record())
 
-    def export_jsonl(self, path: str | Path, header_extra: dict | None = None) -> Path:
+    def export_jsonl(self, path: str | Path) -> Path:
         """Write a header line plus one JSON line per finished span.
 
-        The header stamps the trace format version and whatever build
-        info the caller passes (the CLI passes version + git describe).
+        The header stamps the trace format version and the build info
+        (package version + git describe).
         """
         from repro.telemetry.export import build_info
 
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         header = {"kind": "header", "version": TRACE_VERSION, **build_info()}
-        if header_extra:
-            header.update(header_extra)
         with self._lock:
             records = list(self.finished)
         lines = [json.dumps(header)]

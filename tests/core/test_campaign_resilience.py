@@ -1,8 +1,7 @@
-"""Resilient campaign runner tests: retry, timeout, partial results,
+"""Resilient campaign runner tests: retry, partial results,
 checkpoint/resume."""
 
 import shutil
-import time
 from pathlib import Path
 
 import numpy as np
@@ -88,8 +87,6 @@ class TestRetryPolicy:
             RetryPolicy(backoff_s=-1.0)
         with pytest.raises(ConfigError):
             RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ConfigError):
-            RetryPolicy(window_timeout_s=0)
 
     def test_transient_failure_recovered_and_marked_degraded(self):
         plan = make_plan()
@@ -146,30 +143,6 @@ class TestRetryPolicy:
             MeasurementCampaign(
                 make_plan(1), Broken(), retry=RetryPolicy(backoff_s=0)
             ).run()
-
-
-class TestTimeout:
-    def test_hung_window_times_out_and_fails(self):
-        class Hung:
-            def sample_window(self, window):
-                time.sleep(0.5)
-                return window_trace(window)
-
-        result = MeasurementCampaign(
-            make_plan(1),
-            Hung(),
-            retry=RetryPolicy(max_attempts=2, backoff_s=0, window_timeout_s=0.02),
-        ).run()
-        assert result.outcomes[0].status is WindowStatus.FAILED
-        assert "timed out" in result.outcomes[0].error
-
-    def test_fast_window_unaffected_by_timeout(self):
-        result = MeasurementCampaign(
-            make_plan(2),
-            FlakySource(),
-            retry=RetryPolicy(window_timeout_s=5.0),
-        ).run()
-        assert all(o.status is WindowStatus.OK for o in result.outcomes)
 
 
 class TestResultAlignment:

@@ -44,11 +44,14 @@ class TestRegistry:
 
 
 class TestBackendDispatch:
-    def test_every_experiment_accepts_backend(self):
-        from repro.experiments.registry import supports_backend
-
-        for experiment_id in EXPERIMENTS:
-            assert supports_backend(experiment_id), experiment_id
+    def test_backend_free_experiment_drops_backend(self):
+        # fig2 takes no backend; run_experiment drops the selection.
+        default = run_experiment("fig2", seed=0)
+        selected = run_experiment("fig2", seed=0, backend="netsim")
+        assert selected.rows == default.rows
+        assert selected.notes == default.notes + [
+            "backend-independent experiment: identical under every backend"
+        ]
 
     def test_backend_synth_matches_default(self):
         default = run_experiment("fig3", seed=0, n_windows=3, window_s=0.5)

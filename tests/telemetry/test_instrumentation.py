@@ -2,7 +2,7 @@
 
 * Serial and ``--workers 4`` campaigns report identical merged counters.
 * Traces are byte-identical with telemetry enabled and disabled.
-* Collector drops surface through the registry and survive reattach.
+* Collector shipping counters surface through the registry.
 * Campaign/sampler/traceio/fault tallies reach the registry.
 """
 
@@ -57,9 +57,7 @@ class TestSerialParallelAgreement:
         plan = single_port_plan("web", 6, seconds(1), seed=3)
         backend = SynthBackend(seed=3)
         with scoped_registry() as registry:
-            campaign = ParallelCampaign(
-                plan, backend, workers=workers, max_windows_per_shard=2
-            )
+            campaign = ParallelCampaign(plan, backend, workers=workers)
             campaign.run()
             return registry.snapshot()
 
@@ -146,55 +144,11 @@ class TestNetsimTelemetry:
 
 
 class TestCollectorTelemetry:
-    def test_drops_surface_through_registry(self, registry):
-        collector = CollectorService(batch_size=100, queue_capacity=2)
-        collector.register(SPEC)
-        for i in range(5):
-            collector.record(SPEC.name, i, i)
-        snap = registry.snapshot()
-        assert snap["counters"]["collector.samples_dropped"] == 3
-        assert collector.samples_dropped == 3
-
-    def test_reattach_preserves_lifetime_drops(self, registry):
-        collector = CollectorService(batch_size=100, queue_capacity=1)
-        collector.register(SPEC)
-        collector.record(SPEC.name, 1, 1)
-        collector.record(SPEC.name, 2, 2)  # dropped
-        assert collector.dropped_count(SPEC.name) == 1
-        collector.register(SPEC, reattach=True)
-        # fresh window: buffers cleared, lifetime tally kept
-        assert collector.sample_count(SPEC.name) == 0
-        assert collector.dropped_count(SPEC.name) == 1
-        collector.record(SPEC.name, 3, 3)
-        collector.record(SPEC.name, 4, 4)  # dropped again
-        assert collector.dropped_count(SPEC.name) == 2
-        assert registry.snapshot()["counters"]["collector.samples_dropped"] == 2
-        # the per-window trace meta only reports the current attach's loss
-        traces = collector.finalize()
-        assert traces[SPEC.name].meta["samples_dropped"] == 1
-
     def test_plain_double_register_still_rejected(self):
         collector = CollectorService()
         collector.register(SPEC)
         with pytest.raises(CounterError):
             collector.register(SPEC)
-
-    def test_reattach_with_different_spec_rejected(self):
-        collector = CollectorService()
-        collector.register(SPEC)
-        other = CounterSpec(SPEC.name, CounterKind.BYTE, rate_bps=gbps(40))
-        with pytest.raises(CounterError):
-            collector.register(other, reattach=True)
-
-    def test_queue_depth_high_water_gauge(self, registry):
-        collector = CollectorService(batch_size=4)
-        collector.register(SPEC)
-        for i in range(7):
-            collector.record(SPEC.name, i, i)
-        collector.finalize()
-        assert collector.queue_depth_high_water == 4
-        snap = registry.snapshot()
-        assert snap["gauges"]["collector.queue_depth_high_water"] == 4
 
     def test_ship_counters(self, registry):
         collector = CollectorService(batch_size=2)
@@ -203,7 +157,7 @@ class TestCollectorTelemetry:
             collector.record(SPEC.name, i, i)
         snap = registry.snapshot()
         assert snap["counters"]["collector.batches_shipped"] == 2
-        assert snap["counters"]["collector.bytes_shipped"] == collector.bytes_shipped > 0
+        assert snap["counters"]["collector.bytes_shipped"] == 4 * 16
 
 
 class TestSamplerTelemetry:

@@ -80,14 +80,13 @@ class TestExport:
         with span("a"):
             with span("b"):
                 pass
-        path = tracer.export_jsonl(tmp_path / "trace.jsonl", {"experiment": "fig3"})
+        path = tracer.export_jsonl(tmp_path / "trace.jsonl")
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
         assert header["kind"] == "header"
         assert header["version"] == TRACE_VERSION
         assert header["repro_version"]
         assert header["git_describe"]
-        assert header["experiment"] == "fig3"
         records = [json.loads(line) for line in lines[1:]]
         assert [record["name"] for record in records] == ["b", "a"]
 

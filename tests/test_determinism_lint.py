@@ -17,9 +17,11 @@ process environment.  And nothing under ``src/`` imports from ``tests/``
 — the scalar reference oracles live there and must stay out of
 production paths.
 
-Finally, there is one campaign driver: only ``repro.core.parallel``
-constructs a ``MeasurementCampaign`` (its per-shard runner), so serial,
-sharded and resumed runs all take the same path.
+There is one campaign driver: only ``repro.core.parallel`` constructs a
+``MeasurementCampaign`` (its per-shard runner), so serial, sharded and
+resumed runs all take the same path.  And ``src/repro/core/`` starts no
+threads: a thread cannot be killed, so a timeout built on one abandons
+work that keeps running (ROADMAP item 5).  Process pools stay allowed.
 """
 
 import ast
@@ -260,6 +262,60 @@ def test_campaign_lint_catches_direct_construction(snippet):
 )
 def test_campaign_lint_allows_driver_use(snippet):
     assert not _campaign_constructions_in_source(snippet, "fake.py")
+
+
+# -- no threads in core ------------------------------------------------------------
+
+#: Thread APIs ``src/repro/core`` may not import.
+BANNED_THREAD_IMPORTS = frozenset({"threading", "ThreadPoolExecutor"})
+
+
+def _thread_imports_in_source(source: str, filename: str) -> list[str]:
+    found: list[str] = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if name in BANNED_THREAD_IMPORTS:
+                found.append(f"{filename}:{node.lineno}: imports {name}")
+    return found
+
+
+def test_core_starts_no_threads():
+    violations = _scan(sorted((SRC / "core").rglob("*.py")), _thread_imports_in_source)
+    assert not violations, (
+        "src/repro/core must not import threading or ThreadPoolExecutor "
+        "(an abandoned thread keeps running; bound work in the simulation "
+        "or at the process level):\n" + "\n".join(violations)
+    )
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "import threading",
+        "from threading import Thread",
+        "from concurrent.futures import ThreadPoolExecutor",
+        "from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait",
+    ],
+)
+def test_thread_lint_catches_thread_imports(snippet):
+    assert _thread_imports_in_source(snippet, "fake.py")
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "from concurrent.futures import ProcessPoolExecutor, as_completed",
+        "import concurrent.futures",
+    ],
+)
+def test_thread_lint_allows_process_pools(snippet):
+    assert not _thread_imports_in_source(snippet, "fake.py")
 
 
 # -- src/ is what the CLI reaches ----------------------------------------------------
