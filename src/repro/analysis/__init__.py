@@ -8,53 +8,44 @@ correlation (Fig 8), burst directionality (Fig 9), and buffer-vs-hot-port
 statistics (Fig 10).
 """
 
-from repro.analysis.runs import Run, run_lengths, runs_of
+from repro.analysis.runs import run_lengths
 from repro.analysis.bursts import (
     HOT_THRESHOLD,
     BurstStats,
     GapAwareBurstStats,
     burst_cdf_delta_bound,
-    burst_durations_ns,
     extract_bursts,
     extract_bursts_from_trace,
     extract_bursts_gap_aware,
     hot_mask,
-    interburst_gaps_ns,
     time_in_bursts_fraction,
     trace_hot_mask,
 )
-from repro.analysis.markov import TransitionMatrix, burst_likelihood_ratio, fit_transition_matrix
-from repro.analysis.cdf import EmpiricalCdf, missing_mass_bound
-from repro.analysis.mad import mean_absolute_deviation, normalized_mad_series, resample_utilization
+from repro.analysis.markov import TransitionMatrix, fit_transition_matrix
+from repro.analysis.cdf import EmpiricalCdf
+from repro.analysis.mad import normalized_mad_series, resample_utilization
 from repro.analysis.correlation import pearson_correlation, pearson_matrix
 from repro.analysis.kstest import exponential_ks_test, KsResult
 from repro.analysis.packetsizes import SizeHistogramSplit, split_histogram_by_burst
 from repro.analysis.hotports import hot_share_by_direction, hot_port_counts
 from repro.analysis.bufferstats import BoxStats, occupancy_by_hot_ports
-from repro.analysis.report import format_cdf_rows, format_table
+from repro.analysis.report import format_table
 
 __all__ = [
-    "Run",
     "run_lengths",
-    "runs_of",
     "HOT_THRESHOLD",
     "BurstStats",
     "GapAwareBurstStats",
     "burst_cdf_delta_bound",
-    "burst_durations_ns",
     "extract_bursts",
     "extract_bursts_from_trace",
     "extract_bursts_gap_aware",
     "trace_hot_mask",
     "hot_mask",
-    "interburst_gaps_ns",
     "time_in_bursts_fraction",
     "TransitionMatrix",
-    "burst_likelihood_ratio",
     "fit_transition_matrix",
     "EmpiricalCdf",
-    "missing_mass_bound",
-    "mean_absolute_deviation",
     "normalized_mad_series",
     "resample_utilization",
     "pearson_correlation",
@@ -67,6 +58,5 @@ __all__ = [
     "hot_port_counts",
     "BoxStats",
     "occupancy_by_hot_ports",
-    "format_cdf_rows",
     "format_table",
 ]

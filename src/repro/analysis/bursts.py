@@ -53,19 +53,6 @@ def trace_hot_mask(trace: CounterTrace, threshold: float = HOT_THRESHOLD) -> np.
     return hot_mask(trace.utilization(), threshold)
 
 
-def burst_durations_ns(mask: np.ndarray, interval_ns: int) -> np.ndarray:
-    """Durations of all bursts in a hot mask, window-clipped ones included
-    (the paper's windows are 2 minutes against microsecond bursts)."""
-    check_burst_params(interval_ns)
-    return _burst_runs(np.asarray(mask, dtype=bool), interval_ns).durations_ns
-
-
-def interburst_gaps_ns(mask: np.ndarray, interval_ns: int) -> np.ndarray:
-    """Durations of gaps *between* bursts (boundary gaps excluded, Fig 4)."""
-    check_burst_params(interval_ns)
-    return _burst_runs(np.asarray(mask, dtype=bool), interval_ns).gaps_ns
-
-
 def time_in_bursts_fraction(mask: np.ndarray) -> float:
     """Fraction of sampling periods spent hot (Sec 5.4's ~15 % for Hadoop)."""
     mask = np.asarray(mask, dtype=bool)

@@ -77,20 +77,3 @@ class EmpiricalCdf:
         """Kolmogorov distance sup_x |F(x) - G(x)| between two ECDFs."""
         grid = np.union1d(self._sorted, other._sorted)
         return float(np.max(np.abs(self(grid) - other(grid))))
-
-
-def missing_mass_bound(n_observed: int, n_missing: int) -> float:
-    """Worst-case sup-norm shift of an ECDF caused by missing samples.
-
-    The full-data ECDF is the mixture ``F = (1-f)*F_obs + f*F_miss`` with
-    ``f = n_missing / (n_observed + n_missing)``; whatever the missing
-    values were, ``sup_x |F_obs(x) - F(x)| <= f``.  This is how gap-aware
-    analyses report a *bounded* delta for degraded traces instead of a
-    silently shifted figure.
-    """
-    if n_observed < 0 or n_missing < 0:
-        raise AnalysisError("sample counts must be non-negative")
-    total = n_observed + n_missing
-    if total == 0:
-        return 0.0
-    return n_missing / total

@@ -32,12 +32,6 @@ class DirectionShare:
             return float("nan")
         return self.uplink_hot / self.total_hot
 
-    @property
-    def downlink_share(self) -> float:
-        if self.total_hot == 0:
-            return float("nan")
-        return self.downlink_hot / self.total_hot
-
 
 def hot_share_by_direction(
     uplink_util: np.ndarray,

@@ -30,11 +30,6 @@ class KsResult:
     n: int
     fitted_rate: float
 
-    @property
-    def rejects_poisson(self) -> bool:
-        """Reject at the conventional 5 % level."""
-        return self.p_value < 0.05
-
 
 def kolmogorov_sf(x: float, terms: int = 100) -> float:
     """Survival function of the Kolmogorov distribution.

@@ -15,14 +15,6 @@ import numpy as np
 from repro.errors import AnalysisError
 
 
-def mean_absolute_deviation(values: np.ndarray) -> float:
-    """Plain MAD around the mean of one vector."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or len(values) == 0:
-        raise AnalysisError("MAD expects a non-empty 1-D vector")
-    return float(np.mean(np.abs(values - values.mean())))
-
-
 def normalized_mad_series(
     utilization_by_link: np.ndarray,
     min_mean: float = 1e-4,

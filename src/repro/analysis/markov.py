@@ -47,23 +47,12 @@ class TransitionMatrix:
             counts=((c00, c01), (c10, c11)),
         )
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.p00, self.p01], [self.p10, self.p11]])
-
     @property
     def likelihood_ratio(self) -> float:
         """r = p(1|1) / p(1|0); ~1 for independent arrivals (Sec 5.1)."""
         if self.p01 == 0.0:
             return float("inf") if self.p11 > 0 else float("nan")
         return self.p11 / self.p01
-
-    @property
-    def stationary_hot_fraction(self) -> float:
-        """Stationary probability of the hot state, pi_1 = p01/(p01+p10)."""
-        denom = self.p01 + self.p10
-        if denom == 0.0:
-            return float("nan")
-        return self.p01 / denom
 
 
 def count_transitions(mask: np.ndarray) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -100,8 +89,3 @@ def fit_pooled_transition_matrix(masks: list[np.ndarray]) -> TransitionMatrix:
     for mask in masks:
         totals += count_transitions(mask)
     return TransitionMatrix.from_counts(totals.tolist())
-
-
-def burst_likelihood_ratio(mask: np.ndarray) -> float:
-    """Convenience: likelihood ratio straight from a hot mask."""
-    return fit_transition_matrix(mask).likelihood_ratio

@@ -45,17 +45,6 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def format_cdf_rows(
-    cdf: EmpiricalCdf,
-    label: str,
-    percentiles: Sequence[float] = (10, 25, 50, 75, 90, 99),
-    unit: str = "",
-) -> str:
-    """One line per requested percentile of a CDF."""
-    parts = [f"p{int(q) if q == int(q) else q}={cdf.percentile(q):.4g}{unit}" for q in percentiles]
-    return f"{label}: " + "  ".join(parts)
-
-
 def cdf_series(cdf: EmpiricalCdf, n_points: int = 50) -> list[tuple[float, float]]:
     """(x, F) pairs matching the released-data distribution format."""
     xs, fs = cdf.grid(n_points)

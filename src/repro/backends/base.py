@@ -65,12 +65,10 @@ def timed_window(backend_name: str) -> Iterator[None]:
         ).observe(time.monotonic_ns() - start_ns)
 
 
-def default_port_names(
-    n_downlinks: int = DEFAULT_N_DOWNLINKS, n_uplinks: int = DEFAULT_N_UPLINKS
-) -> list[str]:
-    """Canonical port naming: ``down0..downN-1`` then ``up0..upM-1``."""
-    return [f"down{i}" for i in range(n_downlinks)] + [
-        f"up{i}" for i in range(n_uplinks)
+def default_port_names() -> list[str]:
+    """Canonical port naming: ``down0..down15`` then ``up0..up3``."""
+    return [f"down{i}" for i in range(DEFAULT_N_DOWNLINKS)] + [
+        f"up{i}" for i in range(DEFAULT_N_UPLINKS)
     ]
 
 

@@ -120,8 +120,8 @@ class NetsimScale:
     ``map_port`` is the identity for standard plans): the event-engine
     performance pass (DESIGN.md §8) bought back enough headroom that the
     paper-shaped rack with a doubled window cap still simulates faster
-    than the old 8-downlink / 20 ms default did.  ``smoke()`` shrinks
-    far below this for CI smoke jobs.
+    than the old 8-downlink / 20 ms default did.  The sampling intervals
+    are fixed: 25 µs for byte counters, 50 µs for the buffer watermark.
     """
 
     n_downlinks: int = 16
@@ -129,8 +129,8 @@ class NetsimScale:
     n_remote_hosts: int = 24
     warmup_ns: int = ms(10)
     max_window_ns: int = ms(40)
-    interval_ns: int = us(25)
-    buffer_interval_ns: int = us(50)
+    interval_ns: ClassVar[int] = us(25)
+    buffer_interval_ns: ClassVar[int] = us(50)
 
     def __post_init__(self) -> None:
         if self.n_downlinks < 1 or self.n_uplinks < 1 or self.n_remote_hosts < 1:
@@ -140,27 +140,16 @@ class NetsimScale:
         if self.max_window_ns < self.interval_ns:
             raise ConfigError("max window must cover at least one sampling interval")
 
-    @classmethod
-    def smoke(cls) -> "NetsimScale":
-        """CI-sized scale: one window simulates in well under a second."""
-        return cls(
-            n_downlinks=4,
-            n_uplinks=2,
-            n_remote_hosts=8,
-            warmup_ns=ms(3),
-            max_window_ns=ms(6),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class NetsimBackend:
     """Measurement backend over the packet-level simulator."""
 
     name: ClassVar[str] = "netsim"
+    tick_ns: ClassVar[int] = BASE_TICK_NS
 
     seed: int = 0
     scale: NetsimScale = dataclasses.field(default_factory=NetsimScale)
-    tick_ns: int = BASE_TICK_NS
 
     # -- window setup ----------------------------------------------------------
 
@@ -174,10 +163,9 @@ class NetsimBackend:
         """Fold a plan's port name onto the simulated rack.
 
         Plans are written against the paper's 16-down / 4-up rack, which
-        the default scale now matches (identity mapping).  Reduced
-        scales (e.g. ``smoke()``) keep the port *class* (downlink vs
-        uplink) and wrap the index, so ``down13`` measures ``down5`` on
-        an 8-downlink rack.
+        the default scale now matches (identity mapping).  Reduced scales
+        keep the port *class* (downlink vs uplink) and wrap the index, so
+        ``down13`` measures ``down5`` on an 8-downlink rack.
         """
         if port_name.startswith("down"):
             return f"down{int(port_name[4:]) % self.scale.n_downlinks}"

@@ -59,11 +59,12 @@ class SynthBackend:
 
     name: ClassVar[str] = "synth"
 
+    tick_ns: ClassVar[int] = BASE_TICK_NS
+    rate_bps: ClassVar[float] = gbps(10)
+    n_downlinks: ClassVar[int] = DEFAULT_N_DOWNLINKS
+    n_uplinks: ClassVar[int] = DEFAULT_N_UPLINKS
+
     seed: int = 0
-    tick_ns: int = BASE_TICK_NS
-    rate_bps: float = gbps(10)
-    n_downlinks: int = DEFAULT_N_DOWNLINKS
-    n_uplinks: int = DEFAULT_N_UPLINKS
 
     def _n_ticks(self, window: CampaignWindow) -> int:
         n_ticks = int(window.duration_ns // self.tick_ns)

@@ -248,6 +248,12 @@ def main(argv: list[str] | None = None) -> int:
         _finish_telemetry(args, tracer)
 
 
+def _distribution_windows(scale: str) -> int:
+    """Windows per app behind ``export`` and ``compare``: both must collect
+    the same amount of data at a given ``--scale``."""
+    return 240 if scale == "full" else 24
+
+
 def _dispatch(args) -> int:
     if args.experiment == "list":
         for experiment_id in EXPERIMENTS:
@@ -256,8 +262,9 @@ def _dispatch(args) -> int:
     if args.experiment == "export":
         from repro.data.export import export_distributions
 
-        n_windows = 240 if args.scale == "full" else 24
-        paths = export_distributions(args.dir, seed=args.seed, n_windows=n_windows)
+        paths = export_distributions(
+            args.dir, seed=args.seed, n_windows=_distribution_windows(args.scale)
+        )
         for path in paths:
             print(f"wrote {path}")
         return 0
@@ -271,7 +278,10 @@ def _dispatch(args) -> int:
     if args.experiment == "compare":
         from repro.data.export import compare_directory
 
-        for report in compare_directory(args.dir, seed=args.seed):
+        reports = compare_directory(
+            args.dir, seed=args.seed, n_windows=_distribution_windows(args.scale)
+        )
+        for report in reports:
             print(
                 f"{report['file']:>18}: p50 {report['reference_p50']:.4g} vs "
                 f"{report['ours_p50']:.4g}  p90 {report['reference_p90']:.4g} vs "

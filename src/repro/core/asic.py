@@ -83,15 +83,6 @@ class AsicTimingModel:
 
     # -- sampling ---------------------------------------------------------------
 
-    def single_read_latency_ns(
-        self,
-        spec: CounterSpec,
-        rng: np.random.Generator,
-        dedicated_core: bool = True,
-    ) -> int:
-        """Latency of one read of one counter."""
-        return self.group_read_latency_ns([spec], rng, dedicated_core=dedicated_core)
-
     def group_read_latency_ns(
         self,
         specs: list[CounterSpec],

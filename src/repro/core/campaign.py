@@ -22,9 +22,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol
-
-import numpy as np
+from typing import Callable, Iterator, Protocol
 
 from repro.core.samples import CounterTrace
 from repro.core.traceio import load_traces, save_traces
@@ -32,7 +30,7 @@ from repro.errors import AnalysisError, CollectionError, ConfigError, ReproError
 from repro.obs import get_logger
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import span
-from repro.units import NS_PER_S, seconds
+from repro.units import NS_PER_S
 
 _log = get_logger("campaign")
 
@@ -71,50 +69,6 @@ class CampaignPlan:
     """The full schedule of windows for a campaign."""
 
     windows: tuple[CampaignWindow, ...]
-
-    @staticmethod
-    def generate(
-        racks: Iterable[tuple[str, str]],
-        port_chooser: Callable[[str, np.random.Generator], str],
-        rng: np.random.Generator,
-        hours: int = 24,
-        window_duration_ns: int = seconds(120),
-    ) -> "CampaignPlan":
-        """Random-port / random-window-per-hour schedule.
-
-        Parameters
-        ----------
-        racks:
-            ``(rack_id, rack_type)`` pairs, e.g. 10 each of web / cache /
-            hadoop.
-        port_chooser:
-            Picks the one measured port for a rack (the paper samples a
-            single random port per rack).
-        """
-        if hours <= 0:
-            raise ConfigError("campaign needs at least one hour")
-        hour_ns = seconds(3600)
-        if window_duration_ns <= 0 or window_duration_ns > hour_ns:
-            raise ConfigError("window must fit within an hour")
-        windows: list[CampaignWindow] = []
-        for rack_id, rack_type in racks:
-            port = port_chooser(rack_id, rng)
-            for hour in range(hours):
-                offset = int(rng.integers(0, hour_ns - window_duration_ns + 1))
-                windows.append(
-                    CampaignWindow(
-                        rack_id=rack_id,
-                        rack_type=rack_type,
-                        port_name=port,
-                        hour=hour,
-                        start_ns=hour * hour_ns + offset,
-                        duration_ns=window_duration_ns,
-                    )
-                )
-        return CampaignPlan(windows=tuple(windows))
-
-    def windows_for_type(self, rack_type: str) -> list[CampaignWindow]:
-        return [w for w in self.windows if w.rack_type == rack_type]
 
     @property
     def total_measured_seconds(self) -> float:
@@ -192,14 +146,6 @@ class CampaignResult:
                 f"{len(self.plan.windows)} planned windows — partial results must "
                 "keep one (possibly empty) entry per window"
             )
-
-    def by_type(self, rack_type: str) -> list[dict[str, CounterTrace]]:
-        self._check_aligned()
-        return [
-            traces
-            for window, traces in zip(self.plan.windows, self.traces)
-            if window.rack_type == rack_type
-        ]
 
     def iter_windows(self) -> Iterator[tuple[CampaignWindow, dict[str, CounterTrace]]]:
         self._check_aligned()

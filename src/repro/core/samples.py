@@ -73,11 +73,6 @@ class CounterTrace:
         return len(self.timestamps_ns)
 
     @property
-    def n_intervals(self) -> int:
-        """Number of between-sample intervals."""
-        return max(0, len(self) - 1) if self.kind is ValueKind.CUMULATIVE else len(self)
-
-    @property
     def duration_ns(self) -> int:
         if len(self) < 2:
             return 0
@@ -185,18 +180,6 @@ class CounterTrace:
 
     # -- slicing -----------------------------------------------------------------
 
-    def slice_time(self, start_ns: int, end_ns: int) -> "CounterTrace":
-        """Samples with start_ns <= t < end_ns (a campaign window)."""
-        mask = (self.timestamps_ns >= start_ns) & (self.timestamps_ns < end_ns)
-        return CounterTrace(
-            timestamps_ns=self.timestamps_ns[mask],
-            values=self.values[mask],
-            kind=self.kind,
-            name=self.name,
-            rate_bps=self.rate_bps,
-            meta=dict(self.meta),
-        )
-
     def decimate(self, factor: int) -> "CounterTrace":
         """Keep every ``factor``-th sample.
 
@@ -214,24 +197,4 @@ class CounterTrace:
             name=self.name,
             rate_bps=self.rate_bps,
             meta=dict(self.meta),
-        )
-
-    @staticmethod
-    def regular(
-        interval_ns: int,
-        values: np.ndarray,
-        kind: ValueKind,
-        name: str = "",
-        rate_bps: float = 0.0,
-        start_ns: int = 0,
-    ) -> "CounterTrace":
-        """Build a trace on a perfectly regular sampling grid."""
-        n = len(values)
-        timestamps = start_ns + interval_ns * np.arange(n, dtype=np.int64)
-        return CounterTrace(
-            timestamps_ns=timestamps,
-            values=values,
-            kind=kind,
-            name=name,
-            rate_bps=rate_bps,
         )

@@ -29,7 +29,7 @@ from repro.analysis.cdf import EmpiricalCdf
 from repro.backends import resolve_backend
 from repro.core.campaign import RetryPolicy, WindowStatus
 from repro.core.parallel import ParallelCampaign
-from repro.experiments.common import ExperimentResult, app_byte_traces, backend_note
+from repro.experiments.common import ExperimentResult, app_byte_traces
 from repro.faults import FaultInjector, FaultPlan, FaultyWindowSource
 from repro.synth.dataset import default_plan
 from repro.units import seconds
@@ -195,7 +195,4 @@ def run(
         "time-weighted mean utilization is exact under loss because byte "
         "counts survive misses (Table 1)"
     )
-    note = backend_note(backend)
-    if note:
-        result.notes.append(note)
     return result

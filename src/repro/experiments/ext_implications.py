@@ -23,7 +23,6 @@ from repro.experiments.common import (
     APPS,
     ExperimentResult,
     app_byte_traces,
-    backend_note,
 )
 from repro.netsim import (
     BufferPolicy,
@@ -117,9 +116,6 @@ def run_cc(
         "even a one-RTT signal misses most Web/Cache bursts entirely; "
         "lower-latency signals or better buffering are needed (Sec 7)"
     )
-    note = backend_note(backend)
-    if note:
-        result.notes.append(note)
     return result
 
 
@@ -158,9 +154,6 @@ def run_lb(
         "a gap longer than the e2e latency guarantees no reordering when "
         "the next burst takes a new path — the microflow-LB argument"
     )
-    note = backend_note(backend)
-    if note:
-        result.notes.append(note)
     return result
 
 

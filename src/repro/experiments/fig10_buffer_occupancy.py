@@ -15,7 +15,7 @@ from repro.analysis.bufferstats import occupancy_by_hot_ports
 from repro.analysis.hotports import max_simultaneous_hot_fraction, window_hot_port_counts
 from repro.analysis.mad import resample_utilization
 from repro.data.published import PAPER
-from repro.experiments.common import APPS, ExperimentResult, backend_note, rack_window
+from repro.experiments.common import APPS, ExperimentResult, rack_window
 from repro.core.seeding import site_rng
 from repro.synth.buffermodel import BufferResponseModel
 from repro.synth.calibration import APP_PROFILES, BASE_TICK_NS
@@ -102,7 +102,4 @@ def run(
         "largest median-occupancy range (Sec 6.4)",
         slopes["hadoop"] > max(slopes["web"], slopes["cache"]),
     )
-    note = backend_note(backend)
-    if note:
-        result.notes.append(note)
     return result

@@ -18,7 +18,6 @@ from repro.experiments.common import (
     APPS,
     ExperimentResult,
     app_byte_traces,
-    backend_note,
 )
 from repro.units import to_us
 
@@ -61,7 +60,4 @@ def run(
     result.notes.append(
         "durations are multiples of the 25us sampling period, as in the paper"
     )
-    note = backend_note(backend)
-    if note:
-        result.notes.append(note)
     return result

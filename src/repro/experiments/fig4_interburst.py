@@ -19,7 +19,6 @@ from repro.experiments.common import (
     APPS,
     ExperimentResult,
     app_byte_traces,
-    backend_note,
 )
 from repro.units import to_us
 
@@ -76,7 +75,4 @@ def run(
         "gap tails several orders of magnitude above burst durations: most "
         "inter-burst periods exceed end-to-end latency (Sec 7 load balancing)"
     )
-    note = backend_note(backend)
-    if note:
-        result.notes.append(note)
     return result

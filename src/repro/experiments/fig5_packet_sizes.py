@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.analysis.packetsizes import split_histogram_by_burst
 from repro.data.published import PAPER
-from repro.experiments.common import APPS, ExperimentResult, backend_note, histogram_window
+from repro.experiments.common import APPS, ExperimentResult, histogram_window
 
 
 def run(
@@ -74,7 +74,4 @@ def run(
         "bins follow ASIC RMON edges: 64, 65-127, 128-255, 256-511, "
         "512-1023, 1024-1518 bytes"
     )
-    note = backend_note(backend)
-    if note:
-        result.notes.append(note)
     return result

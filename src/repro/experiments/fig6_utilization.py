@@ -17,7 +17,6 @@ from repro.experiments.common import (
     APPS,
     ExperimentResult,
     app_byte_traces,
-    backend_note,
     pooled_utilization,
 )
 
@@ -62,7 +61,4 @@ def run(
             f"{(util > 0.4).mean():.4f}/{hot:.4f}/{(util > 0.6).mean():.4f}",
         )
         result.add_series(f"{app}_util_cdf", cdf_series(cdf))
-    note = backend_note(backend)
-    if note:
-        result.notes.append(note)
     return result

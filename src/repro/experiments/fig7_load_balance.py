@@ -14,7 +14,7 @@ from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.mad import normalized_mad_series, resample_utilization
 from repro.analysis.report import cdf_series
 from repro.data.published import PAPER
-from repro.experiments.common import APPS, ExperimentResult, backend_note, rack_window
+from repro.experiments.common import APPS, ExperimentResult, rack_window
 from repro.synth.calibration import BASE_TICK_NS
 from repro.units import seconds
 
@@ -70,7 +70,4 @@ def run(
         "flow-level consistent-hash ECMP cannot balance unequal flows at "
         "small timescales; see bench_ablations for per-packet spraying"
     )
-    note = backend_note(backend)
-    if note:
-        result.notes.append(note)
     return result

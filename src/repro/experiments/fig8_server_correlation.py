@@ -17,7 +17,7 @@ from repro.analysis.correlation import (
 )
 from repro.analysis.mad import resample_utilization
 from repro.data.published import PAPER
-from repro.experiments.common import APPS, ExperimentResult, backend_note, rack_window
+from repro.experiments.common import APPS, ExperimentResult, rack_window
 from repro.synth.calibration import APP_PROFILES
 
 
@@ -78,9 +78,6 @@ def run(
             _offdiag_histogram(matrix),
         )
     result.notes.append("ingress and egress trends were nearly identical in the paper; we report the ToR->server direction")
-    note = backend_note(backend)
-    if note:
-        result.notes.append(note)
     return result
 
 

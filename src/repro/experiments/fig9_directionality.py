@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.analysis.hotports import hot_share_by_direction
 from repro.analysis.mad import resample_utilization
 from repro.data.published import PAPER
-from repro.experiments.common import APPS, ExperimentResult, backend_note, rack_window
+from repro.experiments.common import APPS, ExperimentResult, rack_window
 
 
 def run(
@@ -58,7 +58,4 @@ def run(
         "cache responses exceed requests so the 1:4-oversubscribed uplinks "
         "are the bottleneck (Sec 6.3)"
     )
-    note = backend_note(backend)
-    if note:
-        result.notes.append(note)
     return result

@@ -23,7 +23,7 @@ from repro.experiments import (
     tab1_sampling_loss,
     tab2_markov,
 )
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, backend_note
 
 Runner = Callable[..., ExperimentResult]
 
@@ -67,11 +67,6 @@ def accepts_param(runner: Runner, name: str) -> bool:
     return any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values())
 
 
-def supports_workers(experiment_id: str) -> bool:
-    """Whether an experiment can fan its campaign out across workers."""
-    return accepts_param(get_experiment(experiment_id), "workers")
-
-
 #: pipeline-level parameters the CLI passes to every experiment; a runner
 #: that does not take one simply runs without it (``workers`` -> serial;
 #: ``backend`` -> the run does not depend on it, and its result says so).
@@ -84,6 +79,11 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
         name for name in ADVISORY_PARAMS if name in kwargs and not accepts_param(runner, name)
     }
     result = runner(**{k: v for k, v in kwargs.items() if k not in dropped})
-    if "backend" in dropped and kwargs["backend"] is not None:
-        result.notes.append("backend-independent experiment: identical under every backend")
+    if "backend" in dropped:
+        if kwargs["backend"] is not None:
+            result.notes.append("backend-independent experiment: identical under every backend")
+    else:
+        note = backend_note(kwargs.get("backend"))
+        if note:
+            result.notes.append(note)
     return result

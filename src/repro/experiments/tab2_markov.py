@@ -15,7 +15,6 @@ from repro.experiments.common import (
     APPS,
     ExperimentResult,
     app_byte_traces,
-    backend_note,
 )
 
 
@@ -49,7 +48,4 @@ def run(
         "r >> 1 for every application: hot samples are strongly clumped, "
         "so bursts are not independent arrivals (Sec 5.1)"
     )
-    note = backend_note(backend)
-    if note:
-        result.notes.append(note)
     return result

@@ -48,7 +48,3 @@ class FaultyWindowSource:
             name: self.injector.degrade_trace(trace, f"{site}|{name}")
             for name, trace in traces.items()
         }
-
-    def attempts_for(self, window: CampaignWindow) -> int:
-        """How many times this window has been attempted so far."""
-        return self._attempts.get(window_site(window), 0)

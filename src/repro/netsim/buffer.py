@@ -135,6 +135,3 @@ class SharedBuffer:
         peak = self._peak_since_read
         self._peak_since_read = self._occupancy
         return peak
-
-    def occupancy_fraction(self) -> float:
-        return self._occupancy / self.policy.capacity_bytes

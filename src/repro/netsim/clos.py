@@ -106,10 +106,6 @@ class ClosFabric:
     def tors(self) -> list[str]:
         return [n for n, d in self.graph.nodes(data=True) if d["tier"] == "tor"]
 
-    @property
-    def n_uplinks_per_tor(self) -> int:
-        return self.config.n_fabric_per_pod
-
     def validate(self) -> None:
         """Structural invariants of a healthy multi-rooted Clos."""
         cfg = self.config
@@ -126,13 +122,6 @@ class ClosFabric:
                     raise ConfigError(f"{node} has wrong degree")
         if not nx.is_connected(self.graph):
             raise ConfigError("fabric is not connected")
-
-    def equal_cost_paths(self, src_tor: str, dst_tor: str) -> list[list[str]]:
-        """All shortest switch paths between two ToRs (ECMP choices)."""
-        if src_tor == dst_tor:
-            raise ConfigError("source and destination ToR are the same")
-        live = self._live_graph()
-        return list(nx.all_shortest_paths(live, src_tor, dst_tor))
 
     # -- failures ------------------------------------------------------------------
 
@@ -174,13 +163,3 @@ class ClosFabric:
             )
             factors.append(spine_links / cfg.n_spines_per_plane)
         return factors
-
-    def bisection_bandwidth_bps(self) -> float:
-        """Total live ToR-layer uplink capacity (a health scalar)."""
-        live = self._live_graph()
-        return sum(
-            data["rate_bps"]
-            for a, b, data in live.edges(data=True)
-            if self.graph.nodes[a]["tier"] == "tor"
-            or self.graph.nodes[b]["tier"] == "tor"
-        )

@@ -50,12 +50,6 @@ class EcnMarker:
             packet.ce = True
             self.packets_marked += 1
 
-    @property
-    def mark_fraction(self) -> float:
-        if self.packets_seen == 0:
-            return 0.0
-        return self.packets_marked / self.packets_seen
-
 
 class DctcpTransport(WindowedTransport):
     """DCTCP: window scales with the *fraction* of marked packets.
@@ -117,7 +111,3 @@ class DctcpTransport(WindowedTransport):
             if marked:
                 state.cwnd = max(2.0, state.cwnd * (1.0 - alpha / 2.0))
                 state.ssthresh = state.cwnd
-
-    def flow_alpha(self, flow: FiveTuple) -> float:
-        """Current DCTCP alpha estimate for a flow (0 when unmarked)."""
-        return self._alpha.get(flow, 0.0)

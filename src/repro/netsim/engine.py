@@ -93,10 +93,6 @@ class Simulator:
             queue._peak_heap = len(heap)
         return event
 
-    def spawn_rng(self) -> np.random.Generator:
-        """Derive an independent generator (for per-component streams)."""
-        return np.random.default_rng(self.rng.integers(0, 2**63 - 1))
-
     # -- execution ---------------------------------------------------------
 
     def run_until(self, end_ns: int, max_events: int | None = None) -> int:

@@ -81,11 +81,6 @@ class EventQueue:
         return self._live > 0
 
     @property
-    def heap_size(self) -> int:
-        """Physical entries held, live and cancelled (introspection)."""
-        return len(self._heap)
-
-    @property
     def peak_heap_size(self) -> int:
         """High-water mark of physical heap entries over the queue's
         lifetime (compaction shrinks the heap but never the peak) —

@@ -158,13 +158,3 @@ class FabricCloud:
             self.sim.schedule(self.latency_ns, host.receive, packet)
         else:
             raise SimulationError(f"fabric has no route to {dst!r}")
-
-    # -- introspection ------------------------------------------------------------
-
-    @property
-    def uplink_queue_drops(self) -> list[int]:
-        return [queue.drops for queue in self._to_tor]
-
-    @property
-    def remote_host_names(self) -> list[str]:
-        return sorted(self._remote_hosts)

@@ -48,10 +48,6 @@ class FlowState:
     def done(self) -> bool:
         return self.acked >= self.total_packets
 
-    @property
-    def total_bytes(self) -> int:
-        return self.total_packets * self.packet_size
-
 
 class Nic:
     """Host NIC: an egress queue paced at the access-link rate.
@@ -78,10 +74,6 @@ class Nic:
         self._pace_free_ns = 0
         self.tx_bytes = 0
         self.tx_packets = 0
-
-    @property
-    def backlog_packets(self) -> int:
-        return len(self._queue)
 
     def send(self, packet: Packet) -> None:
         self._queue.append(packet)
@@ -274,10 +266,6 @@ class WindowedTransport:
                 state.on_complete(state)
             return
         self._fill_window(state)
-
-    @property
-    def active_flows(self) -> int:
-        return len(self._flows)
 
 
 class Server:

@@ -49,14 +49,6 @@ class Link:
             raise ConfigError(f"link {self.name!r} already connected")
         self._receiver = receiver
 
-    def serialization_ns(self, packet: Packet) -> int:
-        cache = self._serialization_cache
-        size = packet.size_bytes
-        ser = cache.get(size)
-        if ser is None:
-            ser = cache[size] = serialization_time_ns(size, self.rate_bps)
-        return ser
-
     def transmit(self, packet: Packet) -> int:
         """Start transmitting ``packet`` now.
 
@@ -67,8 +59,8 @@ class Link:
         receiver = self._receiver
         if receiver is None:
             raise ConfigError(f"link {self.name!r} transmit before connect")
-        # Inline serialization_ns and read the clock attribute directly:
-        # this runs once per packet per hop.
+        # Serialization time is cached per packet size, and the clock
+        # attribute is read directly: this runs once per packet per hop.
         cache = self._serialization_cache
         size = packet.size_bytes
         ser = cache.get(size)

@@ -72,14 +72,6 @@ class Rack:
     remote_hosts: list[Server]
     fabric: FabricCloud
 
-    @property
-    def server_names(self) -> list[str]:
-        return [server.name for server in self.servers]
-
-    @property
-    def remote_names(self) -> list[str]:
-        return [server.name for server in self.remote_hosts]
-
     def host(self, name: str) -> Server:
         for server in self.servers + self.remote_hosts:
             if server.name == name:

@@ -9,7 +9,7 @@ loop does — through named read operations with ASIC-defined semantics.
 from __future__ import annotations
 
 from repro.errors import CounterError
-from repro.netsim.port import SIZE_BIN_EDGES, Direction, Port
+from repro.netsim.port import Port
 from repro.netsim.switch import TorSwitch
 
 
@@ -25,11 +25,6 @@ class SwitchCounterSurface:
     @property
     def port_names(self) -> list[str]:
         return list(self._ports)
-
-    def ports_by_direction(self, direction: Direction) -> list[str]:
-        return [
-            name for name, port in self._ports.items() if port.direction is direction
-        ]
 
     def port_rate_bps(self, port_name: str) -> float:
         return self._port(port_name).rate_bps
@@ -58,22 +53,12 @@ class SwitchCounterSurface:
         """Cumulative per-bin packet counts (egress direction)."""
         return tuple(self._port(port_name).counters.tx_size_hist)
 
-    def read_rx_size_histogram(self, port_name: str) -> tuple[int, ...]:
-        return tuple(self._port(port_name).counters.rx_size_hist)
-
     # -- buffer watermark ---------------------------------------------------------
 
     def read_peak_buffer_and_reset(self) -> int:
         """Peak shared-buffer occupancy since last read (read-and-reset)."""
         return self._switch.shared_buffer.peak_occupancy_read_and_reset()
 
-    def read_buffer_occupancy(self) -> int:
-        return self._switch.shared_buffer.occupancy_bytes
-
     @property
     def buffer_capacity_bytes(self) -> int:
         return self._switch.shared_buffer.policy.capacity_bytes
-
-    @property
-    def size_bin_edges(self) -> tuple[int, ...]:
-        return SIZE_BIN_EDGES

@@ -63,10 +63,6 @@ class DurationModel:
         tail_mean = self.tail_mass * (start + q / (1.0 - q)) if self.tail_mass else 0.0
         return head_mean + tail_mean
 
-    @property
-    def implied_p11(self) -> float:
-        return 1.0 - 1.0 / self.mean()
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` burst durations (ticks, >= 1)."""
         if n <= 0:
@@ -103,10 +99,6 @@ class GapModel:
         small = self.small_median * math.exp(self.small_sigma**2 / 2.0)
         large = self.large_median * math.exp(self.large_sigma**2 / 2.0)
         return self.p_small * small + (1.0 - self.p_small) * large
-
-    @property
-    def implied_p01(self) -> float:
-        return 1.0 / self.mean()
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n <= 0:

@@ -64,28 +64,34 @@ def default_plan(
     hours: int = 24,
     window_duration_ns: int = seconds(120),
     seed: int = 0,
-    apps: tuple[str, ...] = ("web", "cache", "hadoop"),
-    n_downlinks: int = 16,
-    n_uplinks: int = 4,
 ) -> CampaignPlan:
-    """The paper's campaign: ``racks_per_app`` racks per application, one
-    random port per rack, one random window per hour."""
+    """The paper's campaign (Sec 4.2): ``racks_per_app`` web, cache and
+    hadoop racks, one random port per rack, and one random window inside
+    every hour."""
+    # Imported here: repro.backends imports this module.
+    from repro.backends.base import default_port_names
+
+    if hours <= 0:
+        raise ConfigError("campaign needs at least one hour")
+    hour_ns = seconds(3600)
+    if window_duration_ns <= 0 or window_duration_ns > hour_ns:
+        raise ConfigError("window must fit within an hour")
     rng = np.random.default_rng(seed)
-    racks = [
-        (f"{app}-rack{i}", app) for app in apps for i in range(racks_per_app)
-    ]
-    port_names = [f"down{i}" for i in range(n_downlinks)] + [
-        f"up{i}" for i in range(n_uplinks)
-    ]
-
-    def choose_port(_rack_id: str, rng: np.random.Generator) -> str:
-        return port_names[int(rng.integers(len(port_names)))]
-
-    return CampaignPlan.generate(
-        racks=racks,
-        port_chooser=choose_port,
-        rng=rng,
-        hours=hours,
-        window_duration_ns=window_duration_ns,
-    )
-
+    port_names = default_port_names()
+    windows: list[CampaignWindow] = []
+    for app in ("web", "cache", "hadoop"):
+        for i in range(racks_per_app):
+            port = port_names[int(rng.integers(len(port_names)))]
+            for hour in range(hours):
+                offset = int(rng.integers(0, hour_ns - window_duration_ns + 1))
+                windows.append(
+                    CampaignWindow(
+                        rack_id=f"{app}-rack{i}",
+                        rack_type=app,
+                        port_name=port,
+                        hour=hour,
+                        start_ns=hour * hour_ns + offset,
+                        duration_ns=window_duration_ns,
+                    )
+                )
+    return CampaignPlan(windows=tuple(windows))

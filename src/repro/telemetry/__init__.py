@@ -40,13 +40,12 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    enabled,
     get_registry,
     scoped_registry,
     set_enabled,
 )
-from repro.telemetry.profiling import profile_stage, profiling_enabled, set_profiling
-from repro.telemetry.spans import Tracer, get_tracer, install_tracer, span
+from repro.telemetry.profiling import profile_stage, set_profiling
+from repro.telemetry.spans import Tracer, install_tracer, span
 
 __all__ = [
     # metrics
@@ -59,15 +58,12 @@ __all__ = [
     "get_registry",
     "scoped_registry",
     "set_enabled",
-    "enabled",
     # spans
     "Tracer",
     "span",
-    "get_tracer",
     "install_tracer",
     # profiling
     "profile_stage",
-    "profiling_enabled",
     "set_profiling",
     # export
     "build_info",

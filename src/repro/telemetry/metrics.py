@@ -354,10 +354,6 @@ def get_registry() -> MetricsRegistry | NullRegistry:
     return _REGISTRY
 
 
-def enabled() -> bool:
-    return _ENABLED
-
-
 def set_enabled(flag: bool) -> None:
     """Enable or disable metric collection process-wide.
 

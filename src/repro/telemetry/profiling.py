@@ -9,14 +9,13 @@ wall time, and RSS growth land in the metrics registry as gauges —
 high-water mark (``ru_maxrss`` after minus before), so a stage that runs
 after a larger one reads 0 instead of repeating that stage's peak.
 
-Profiling is opt-in (``set_profiling(True)``, the CLI's ``--profile``,
-or ``REPRO_PROFILE=1``): when off, :func:`profile_stage` yields
+Profiling is opt-in (``set_profiling(True)`` or the CLI's
+``--profile``): when off, :func:`profile_stage` yields
 immediately and touches neither ``resource`` nor the clock.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -29,11 +28,7 @@ try:  # pragma: no cover - resource is POSIX-only
 except ImportError:  # pragma: no cover
     resource = None  # type: ignore[assignment]
 
-_PROFILING = os.environ.get("REPRO_PROFILE", "") not in ("", "0")
-
-
-def profiling_enabled() -> bool:
-    return _PROFILING
+_PROFILING = False
 
 
 def set_profiling(flag: bool) -> None:

@@ -95,11 +95,6 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    @property
-    def current(self) -> Span | None:
-        stack = self._stack()
-        return stack[-1] if stack else None
-
     @contextmanager
     def span(self, name: str, **attrs: object) -> Iterator[Span]:
         stack = self._stack()
@@ -142,10 +137,6 @@ class Tracer:
 # -- the process-global tracer -----------------------------------------------------
 
 _TRACER: Tracer | None = None
-
-
-def get_tracer() -> Tracer | None:
-    return _TRACER
 
 
 def install_tracer(tracer: Tracer | None) -> Tracer | None:

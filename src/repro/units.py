@@ -16,11 +16,6 @@ NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 
 
-def ns(value: float) -> int:
-    """Nanoseconds, rounded to the nearest integer tick."""
-    return round(value)
-
-
 def us(value: float) -> int:
     """Microseconds expressed as integer nanoseconds."""
     return round(value * NS_PER_US)
@@ -36,25 +31,12 @@ def seconds(value: float) -> int:
     return round(value * NS_PER_S)
 
 
-def to_seconds(time_ns: int) -> float:
-    """Integer nanoseconds back to float seconds (analysis boundary)."""
-    return time_ns / NS_PER_S
-
-
 def to_us(time_ns: int) -> float:
     """Integer nanoseconds back to float microseconds."""
     return time_ns / NS_PER_US
 
 
 # --- data rates (bits per second) -----------------------------------------
-
-
-def kbps(value: float) -> float:
-    return value * 1e3
-
-
-def mbps(value: float) -> float:
-    return value * 1e6
 
 
 def gbps(value: float) -> float:

@@ -14,13 +14,7 @@ studies on top of the packet-level simulator:
 """
 
 from repro.workloads.base import Workload, WorkloadStats
-from repro.workloads.distributions import (
-    EmpiricalSizes,
-    LogNormalSizes,
-    ParetoSizes,
-    SizeDistribution,
-    FixedSizes,
-)
+from repro.workloads.distributions import LogNormalSizes, ParetoSizes, SizeDistribution
 from repro.workloads.flows import PoissonArrivals, OnOffArrivals
 from repro.workloads.web import WebWorkload, WebConfig
 from repro.workloads.cache import CacheWorkload, CacheConfig
@@ -31,10 +25,8 @@ __all__ = [
     "Workload",
     "WorkloadStats",
     "SizeDistribution",
-    "FixedSizes",
     "LogNormalSizes",
     "ParetoSizes",
-    "EmpiricalSizes",
     "PoissonArrivals",
     "OnOffArrivals",
     "WebWorkload",

@@ -17,23 +17,6 @@ class SizeDistribution(ABC):
     def sample(self, rng: np.random.Generator) -> int:
         """One draw."""
 
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.array([self.sample(rng) for _ in range(n)], dtype=np.int64)
-
-
-@dataclass(frozen=True, slots=True)
-class FixedSizes(SizeDistribution):
-    """Degenerate distribution (control-message sizes)."""
-
-    size_bytes: int
-
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ConfigError("size must be positive")
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return self.size_bytes
-
 
 @dataclass(frozen=True, slots=True)
 class LogNormalSizes(SizeDistribution):
@@ -76,21 +59,3 @@ class ParetoSizes(SizeDistribution):
     def sample(self, rng: np.random.Generator) -> int:
         value = self.min_bytes * (1.0 + rng.pareto(self.alpha))
         return int(min(value, self.max_bytes))
-
-
-@dataclass(frozen=True)
-class EmpiricalSizes(SizeDistribution):
-    """Draws from an explicit (sizes, weights) table."""
-
-    sizes: tuple[int, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.sizes) != len(self.weights) or not self.sizes:
-            raise ConfigError("sizes/weights mismatch")
-        if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
-            raise ConfigError("weights must be non-negative and sum > 0")
-
-    def sample(self, rng: np.random.Generator) -> int:
-        probs = np.asarray(self.weights) / sum(self.weights)
-        return int(rng.choice(self.sizes, p=probs))

@@ -2,18 +2,17 @@
 
 import numpy as np
 import pytest
+from factories import regular_trace
 
 from repro.analysis.bursts import (
-    burst_durations_ns,
     extract_bursts,
     extract_bursts_from_trace,
     hot_mask,
-    interburst_gaps_ns,
     microburst_fraction,
     time_in_bursts_fraction,
     trace_hot_mask,
 )
-from repro.core.samples import CounterTrace, ValueKind
+from repro.core.samples import ValueKind
 from repro.errors import AnalysisError
 from repro.units import gbps, us
 
@@ -40,17 +39,17 @@ class TestHotMask:
 
 class TestDurationsAndGaps:
     def test_durations_in_ns(self):
-        mask = np.array([0, 1, 1, 0, 1, 0], dtype=bool)
-        assert list(burst_durations_ns(mask, TICK)) == [2 * TICK, TICK]
+        util = np.array([0, 1, 1, 0, 1, 0], dtype=float)
+        assert list(extract_bursts(util, TICK).durations_ns) == [2 * TICK, TICK]
 
     def test_gaps_exclude_boundaries(self):
-        mask = np.array([0, 1, 0, 0, 1, 0], dtype=bool)
-        assert list(interburst_gaps_ns(mask, TICK)) == [2 * TICK]
+        util = np.array([0, 1, 0, 0, 1, 0], dtype=float)
+        assert list(extract_bursts(util, TICK).gaps_ns) == [2 * TICK]
 
     def test_single_sample_burst_is_one_period(self):
         """Sec 5.1: a single hot sample is a 25 us burst."""
-        mask = np.array([0, 1, 0], dtype=bool)
-        assert list(burst_durations_ns(mask, TICK)) == [TICK]
+        util = np.array([0, 1, 0], dtype=float)
+        assert list(extract_bursts(util, TICK).durations_ns) == [TICK]
 
 
 class TestAggregates:
@@ -85,7 +84,7 @@ class TestFromTrace:
         # 31250 B / 25 us = 100 % on a 10 G link
         per_tick = np.array([0, 31_000, 31_000, 100, 100, 20_000, 0])
         values = np.concatenate(([0], np.cumsum(per_tick))).astype(np.int64)
-        trace = CounterTrace.regular(TICK, values, ValueKind.CUMULATIVE, rate_bps=gbps(10))
+        trace = regular_trace(TICK, values, ValueKind.CUMULATIVE, rate_bps=gbps(10))
         stats = extract_bursts_from_trace(trace)
         assert stats.n_bursts == 2
         assert stats.interval_ns == TICK
@@ -93,6 +92,6 @@ class TestFromTrace:
         assert mask.sum() == 3
 
     def test_short_trace_rejected(self):
-        trace = CounterTrace.regular(TICK, np.array([0]), ValueKind.CUMULATIVE, rate_bps=1e9)
+        trace = regular_trace(TICK, np.array([0]), ValueKind.CUMULATIVE, rate_bps=1e9)
         with pytest.raises(AnalysisError):
             extract_bursts_from_trace(trace)

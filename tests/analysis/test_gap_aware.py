@@ -9,7 +9,6 @@ from repro.analysis.bursts import (
     extract_bursts_from_trace,
     extract_bursts_gap_aware,
 )
-from repro.analysis.cdf import missing_mass_bound
 from repro.core.samples import CounterTrace, ValueKind
 from repro.errors import AnalysisError
 from repro.units import gbps, us
@@ -176,7 +175,3 @@ class TestBounds:
         )
         assert gap_aware.cdf_delta_bound > 0.0
         assert ks <= gap_aware.cdf_delta_bound
-
-    def test_missing_mass_bound(self):
-        assert missing_mass_bound(90, 10) == pytest.approx(0.1)
-        assert missing_mass_bound(10, 0) == 0.0

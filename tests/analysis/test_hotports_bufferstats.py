@@ -25,7 +25,6 @@ class TestDirectionShare:
         assert share.uplink_hot == 3
         assert share.downlink_hot == 1
         assert share.uplink_share == pytest.approx(0.75)
-        assert share.downlink_share == pytest.approx(0.25)
 
     def test_no_hot_samples_nan(self):
         share = DirectionShare(uplink_hot=0, downlink_hot=0)

@@ -25,7 +25,6 @@ class TestExponentialKs:
         rng = np.random.default_rng(0)
         result = exponential_ks_test(rng.exponential(2.0, 400))
         assert result.p_value > 0.05
-        assert not result.rejects_poisson
         assert result.fitted_rate == pytest.approx(0.5, rel=0.2)
 
     def test_heavy_tailed_data_rejected(self):
@@ -34,7 +33,6 @@ class TestExponentialKs:
         rng = np.random.default_rng(1)
         result = exponential_ks_test(rng.lognormal(0, 2.0, 2000))
         assert result.p_value < 1e-6
-        assert result.rejects_poisson
 
     def test_statistic_matches_scipy(self):
         rng = np.random.default_rng(2)

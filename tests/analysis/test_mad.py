@@ -3,24 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.analysis.mad import (
-    mean_absolute_deviation,
-    normalized_mad_series,
-    resample_utilization,
-)
+from repro.analysis.mad import normalized_mad_series, resample_utilization
 from repro.errors import AnalysisError
 
 
 class TestMad:
+    """MAD of one period's link vector, read through the normalised series."""
+
     def test_balanced_is_zero(self):
-        assert mean_absolute_deviation(np.array([0.3, 0.3, 0.3, 0.3])) == 0.0
+        assert normalized_mad_series(np.array([[0.3, 0.3, 0.3, 0.3]]))[0] == 0.0
 
     def test_known_value(self):
-        assert mean_absolute_deviation(np.array([1.0, 0.0])) == pytest.approx(0.5)
+        # MAD 0.5 around a mean of 0.5.
+        assert normalized_mad_series(np.array([[1.0, 0.0]]))[0] == pytest.approx(1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(AnalysisError):
-            mean_absolute_deviation(np.array([]))
+            normalized_mad_series(np.array([]))
 
 
 class TestNormalizedSeries:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.markov import (
-    burst_likelihood_ratio,
     count_transitions,
     fit_pooled_transition_matrix,
     fit_transition_matrix,
@@ -42,7 +41,7 @@ class TestMle:
     def test_independent_series_ratio_near_one(self):
         rng = np.random.default_rng(1)
         mask = rng.random(400_000) < 0.1
-        ratio = burst_likelihood_ratio(mask)
+        ratio = fit_transition_matrix(mask).likelihood_ratio
         assert 0.8 < ratio < 1.2
 
     def test_correlated_series_ratio_large(self):
@@ -56,7 +55,7 @@ class TestMle:
             else:
                 state = rng.random() < 0.01
             samples.append(state)
-        ratio = burst_likelihood_ratio(np.array(samples))
+        ratio = fit_transition_matrix(np.array(samples)).likelihood_ratio
         assert ratio > 20
 
     def test_never_hot_gives_nan_p11(self):
@@ -67,12 +66,9 @@ class TestMle:
         rng = np.random.default_rng(3)
         mask = rng.random(500_000) < 0.2
         matrix = fit_transition_matrix(mask)
-        assert matrix.stationary_hot_fraction == pytest.approx(0.2, abs=0.01)
-
-    def test_as_array(self):
-        mask = np.array([0, 1, 0, 1], dtype=bool)
-        arr = fit_transition_matrix(mask).as_array()
-        assert arr.shape == (2, 2)
+        # The fitted chain's stationary hot probability, p01 / (p01 + p10).
+        stationary = matrix.p01 / (matrix.p01 + matrix.p10)
+        assert stationary == pytest.approx(0.2, abs=0.01)
 
 
 class TestPooling:

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from factories import regular_trace
 
 from repro.analysis.packetsizes import split_histogram_by_burst
-from repro.core.samples import CounterTrace, ValueKind
+from repro.core.samples import ValueKind
 from repro.errors import AnalysisError
 from repro.units import gbps, us
 
@@ -17,10 +18,10 @@ def make_traces(per_tick_bytes, per_tick_hists):
     hist_values = np.concatenate(
         [np.zeros((1, 6), dtype=np.int64), np.cumsum(per_tick_hists, axis=0)]
     )
-    byte_trace = CounterTrace.regular(
+    byte_trace = regular_trace(
         TICK, byte_values, ValueKind.CUMULATIVE, rate_bps=gbps(10)
     )
-    hist_trace = CounterTrace.regular(TICK, hist_values, ValueKind.CUMULATIVE)
+    hist_trace = regular_trace(TICK, hist_values, ValueKind.CUMULATIVE)
     return byte_trace, hist_trace
 
 
@@ -75,7 +76,7 @@ def test_mismatched_traces_rejected():
 
 def test_1d_histogram_rejected():
     byte_trace, _ = make_traces([1000, 2000], [[1, 0, 0, 0, 0, 0]] * 2)
-    flat = CounterTrace.regular(
+    flat = regular_trace(
         TICK, np.array([0, 1, 2], dtype=np.int64), ValueKind.CUMULATIVE
     )
     with pytest.raises(AnalysisError):

@@ -5,7 +5,6 @@ import numpy as np
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.report import (
     cdf_series,
-    format_cdf_rows,
     format_comparison,
     format_table,
     heatmap_to_text,
@@ -37,12 +36,6 @@ class TestFormatTable:
 
 
 class TestCdfHelpers:
-    def test_format_cdf_rows(self):
-        cdf = EmpiricalCdf(np.arange(100, dtype=float))
-        row = format_cdf_rows(cdf, "lat", percentiles=(50, 90), unit="us")
-        assert row.startswith("lat:")
-        assert "p50=" in row and "p90=" in row and "us" in row
-
     def test_cdf_series_bounds(self):
         cdf = EmpiricalCdf(np.arange(100, dtype=float))
         series = cdf_series(cdf, n_points=11)

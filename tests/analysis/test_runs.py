@@ -3,29 +3,40 @@
 import numpy as np
 import pytest
 
-from repro.analysis.runs import Run, interior_run_lengths, run_lengths, runs_of
+from repro.analysis.bursts import extract_bursts
+from repro.analysis.runs import run_bounds, run_lengths
 from repro.errors import AnalysisError
 
 
+def interior_run_lengths(mask, value):
+    """Lengths of the runs of ``value`` that touch neither boundary: the
+    inter-burst gaps of the series that is hot wherever ``mask`` is not
+    ``value``."""
+    return extract_bursts((np.asarray(mask) != value).astype(float), 1).gaps_ns
+
+
 class TestRunsOf:
+    """The maximal runs of a mask, as ``run_bounds`` reports them."""
+
     def test_simple(self):
-        runs = runs_of(np.array([True, True, False, True]))
-        assert runs == [
-            Run(0, 2, True),
-            Run(2, 3, False),
-            Run(3, 4, True),
-        ]
-        assert [r.length for r in runs] == [2, 1, 1]
+        mask = np.array([True, True, False, True])
+        starts, stops = run_bounds(mask, True)
+        assert list(starts) == [0, 3] and list(stops) == [2, 4]
+        starts, stops = run_bounds(mask, False)
+        assert list(starts) == [2] and list(stops) == [3]
 
     def test_empty(self):
-        assert runs_of(np.array([], dtype=bool)) == []
+        starts, stops = run_bounds(np.array([], dtype=bool))
+        assert len(starts) == 0 and len(stops) == 0
 
     def test_single_run(self):
-        assert runs_of(np.array([False] * 5)) == [Run(0, 5, False)]
+        starts, stops = run_bounds(np.array([False] * 5), False)
+        assert list(starts) == [0] and list(stops) == [5]
+        assert len(run_bounds(np.array([False] * 5), True)[0]) == 0
 
     def test_2d_rejected(self):
         with pytest.raises(AnalysisError):
-            runs_of(np.zeros((2, 2), dtype=bool))
+            run_bounds(np.zeros((2, 2), dtype=bool))
 
 
 class TestRunLengths:

@@ -14,9 +14,10 @@ import zlib
 
 import numpy as np
 import pytest
+from factories import SMOKE_SCALE
 
 from repro.analysis.bursts import extract_bursts_from_trace
-from repro.backends import NetsimBackend, NetsimScale, SynthBackend
+from repro.backends import NetsimBackend, SynthBackend
 from repro.backends.base import rack_window_spec, single_port_plan
 from repro.core.campaign import MeasurementCampaign, RetryPolicy, WindowStatus
 from repro.core.parallel import ParallelCampaign
@@ -37,7 +38,7 @@ GOLDEN_SYNTH_CRCS = {
 }
 
 #: Netsim-backend golden CRCs: ``NetsimBackend(seed=0,
-#: scale=NetsimScale.smoke())`` sampling ``single_port_plan(app, 2,
+#: scale=SMOKE_SCALE)`` sampling ``single_port_plan(app, 2,
 #: ms(6), seed=0, port="down0")``.  Captured before the event-engine
 #: performance pass; every optimisation of the hot path must keep these
 #: byte-identical (same seeds → same traces is the simulator's core
@@ -183,7 +184,7 @@ class TestNetsimGoldenDeterminism:
     """Pin netsim per-window traces bit-for-bit across code changes."""
 
     def backend(self):
-        return NetsimBackend(seed=0, scale=NetsimScale.smoke())
+        return NetsimBackend(seed=0, scale=SMOKE_SCALE)
 
     def plan(self, app):
         return single_port_plan(app, 2, ms(6), seed=0, port="down0")
@@ -226,7 +227,7 @@ class TestNetsimGoldenDeterminism:
 
 class TestNetsimThroughCampaign:
     def smoke_backend(self, seed=0):
-        return NetsimBackend(seed=seed, scale=NetsimScale.smoke())
+        return NetsimBackend(seed=seed, scale=SMOKE_SCALE)
 
     def plan(self, app="web", n_windows=2):
         return single_port_plan(app, n_windows, ms(6), seed=0, port="down0")

@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from factories import SMOKE_SCALE
 
 from repro.backends import (
     BACKENDS,
@@ -51,8 +52,8 @@ class TestPlanBuilders:
         assert 0.7 < down / 200 < 0.9
 
     def test_default_port_names(self):
-        names = default_port_names(2, 1)
-        assert names == ["down0", "down1", "up0"]
+        names = default_port_names()
+        assert names == [f"down{i}" for i in range(16)] + [f"up{i}" for i in range(4)]
 
     def test_rack_window_spec_identity(self):
         spec = rack_window_spec("web", seconds(2), experiment="fig7")
@@ -144,9 +145,9 @@ class TestNetsimScale:
         assert scale.max_window_ns == ms(40)
 
     def test_smoke_is_smaller(self):
-        smoke = NetsimScale.smoke()
-        assert smoke.n_downlinks < NetsimScale().n_downlinks
-        assert smoke.max_window_ns < NetsimScale().max_window_ns
+        """The tests' smoke scale exercises the reduced-scale port folding."""
+        assert SMOKE_SCALE.n_downlinks < NetsimScale().n_downlinks
+        assert SMOKE_SCALE.max_window_ns < NetsimScale().max_window_ns
 
     def test_invalid_rejected(self):
         with pytest.raises(ConfigError):
@@ -157,7 +158,7 @@ class TestNetsimScale:
 
 class TestNetsimBackend:
     def make(self, seed=0):
-        return NetsimBackend(seed=seed, scale=NetsimScale.smoke())
+        return NetsimBackend(seed=seed, scale=SMOKE_SCALE)
 
     def test_satisfies_protocol(self):
         assert isinstance(self.make(), MeasurementBackend)
@@ -193,7 +194,7 @@ class TestNetsimBackend:
         window = single_port_plan("web", 1, seconds(2), seed=0, port="down0").windows[0]
         trace = self.make().sample_window(window)["down0.tx_bytes"]
         span = int(trace.timestamps_ns[-1] - trace.timestamps_ns[0])
-        assert span <= NetsimScale.smoke().max_window_ns
+        assert span <= SMOKE_SCALE.max_window_ns
 
     def test_unknown_app_rejected(self):
         window = single_port_plan("web", 1, ms(6), seed=0).windows[0]

@@ -45,7 +45,7 @@ class TestLatencies:
         rng_a = np.random.default_rng(0)
         rng_b = np.random.default_rng(0)
         scalars = [
-            model.single_read_latency_ns(byte_spec(), rng_a) for _ in range(4000)
+            model.group_read_latency_ns([byte_spec()], rng_a) for _ in range(4000)
         ]
         vector = model.group_read_latencies_ns([byte_spec()], 4000, rng_b)
         assert np.median(scalars) == pytest.approx(np.median(vector), rel=0.1)

@@ -2,29 +2,24 @@
 
 import numpy as np
 import pytest
+from factories import regular_trace
 
-from repro.core.campaign import CampaignPlan, CampaignWindow, MeasurementCampaign
-from repro.core.samples import CounterTrace, ValueKind
+from repro.core.campaign import CampaignWindow, MeasurementCampaign
+from repro.core.samples import ValueKind
 from repro.errors import ConfigError
+from repro.synth.dataset import default_plan
 from repro.units import seconds
 
 
-def racks():
-    return [(f"web{i}", "web") for i in range(3)] + [(f"hadoop{i}", "hadoop") for i in range(2)]
-
-
-def choose_port(rack_id, rng):
-    return f"down{int(rng.integers(4))}"
-
-
 @pytest.fixture
-def plan(rng):
-    return CampaignPlan.generate(racks(), choose_port, rng, hours=24)
+def plan():
+    """Two racks per application, one window in each of 24 hours."""
+    return default_plan(racks_per_app=2, hours=24, seed=12345)
 
 
 class TestPlanGeneration:
     def test_one_window_per_rack_hour(self, plan):
-        assert len(plan.windows) == 5 * 24
+        assert len(plan.windows) == 6 * 24
 
     def test_windows_fit_their_hour(self, plan):
         hour_ns = seconds(3600)
@@ -43,26 +38,29 @@ class TestPlanGeneration:
         assert len(offsets) > 10
 
     def test_windows_for_type(self, plan):
-        assert len(plan.windows_for_type("web")) == 3 * 24
-        assert len(plan.windows_for_type("hadoop")) == 2 * 24
+        for app in ("web", "cache", "hadoop"):
+            assert sum(w.rack_type == app for w in plan.windows) == 2 * 24
 
     def test_total_measured_seconds(self, plan):
-        assert plan.total_measured_seconds == pytest.approx(120 * 120)
+        assert plan.total_measured_seconds == pytest.approx(144 * 120)
 
-    def test_paper_scale_plan(self, rng):
+    def test_paper_scale_plan(self):
         """The paper: 30 racks x 24 hours = 720 two-minute windows."""
-        paper_racks = [(f"r{i}", "web") for i in range(30)]
-        plan = CampaignPlan.generate(paper_racks, choose_port, rng)
+        plan = default_plan()
         assert len(plan.windows) == 720
         assert plan.total_measured_seconds == pytest.approx(720 * 120)
 
-    def test_validation(self, rng):
+    def test_validation(self):
         with pytest.raises(ConfigError):
-            CampaignPlan.generate(racks(), choose_port, rng, hours=0)
+            default_plan(hours=0)
         with pytest.raises(ConfigError):
-            CampaignPlan.generate(
-                racks(), choose_port, rng, window_duration_ns=seconds(7200)
-            )
+            default_plan(window_duration_ns=seconds(7200))
+
+    def test_digest_pinned(self):
+        """Plan digests guard checkpoint resume; the RNG call order that
+        draws ports and offsets must not move."""
+        assert default_plan().digest() == "86cb0eda9b949bde"
+        assert default_plan(racks_per_app=2, hours=3, seed=1).digest() == "3b9fdc9f52c5f921"
 
 
 class FakeSource:
@@ -71,7 +69,7 @@ class FakeSource:
 
     def sample_window(self, window: CampaignWindow):
         self.calls.append(window)
-        trace = CounterTrace.regular(
+        trace = regular_trace(
             25_000,
             np.arange(10, dtype=np.int64),
             ValueKind.CUMULATIVE,
@@ -91,5 +89,6 @@ class TestExecution:
 
     def test_by_type_filters(self, plan):
         result = MeasurementCampaign(plan, FakeSource()).run()
-        assert len(result.by_type("web")) == 3 * 24
+        web = [traces for window, traces in result.iter_windows() if window.rack_type == "web"]
+        assert len(web) == 2 * 24
         assert len(list(result.iter_windows())) == len(plan.windows)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from factories import regular_trace
 
 from repro.core.samples import CounterTrace, ValueKind
 from repro.errors import AnalysisError
@@ -9,7 +10,7 @@ from repro.units import gbps, seconds, us
 
 
 def byte_trace(values, interval=us(25), rate=gbps(10)):
-    return CounterTrace.regular(
+    return regular_trace(
         interval_ns=interval,
         values=np.asarray(values, dtype=np.int64),
         kind=ValueKind.CUMULATIVE,
@@ -40,7 +41,7 @@ class TestConstruction:
         assert list(trace.timestamps_ns) == [0, 25_000, 50_000]
         assert trace.duration_ns == 50_000
         assert len(trace) == 3
-        assert trace.n_intervals == 2
+        assert len(trace.deltas()) == 2
 
 
 class TestDerived:
@@ -61,7 +62,7 @@ class TestDerived:
         assert util[1] == pytest.approx(0.0)
 
     def test_utilization_needs_rate(self):
-        trace = CounterTrace.regular(us(25), np.array([0, 10]), ValueKind.CUMULATIVE)
+        trace = regular_trace(us(25), np.array([0, 10]), ValueKind.CUMULATIVE)
         with pytest.raises(AnalysisError):
             trace.utilization()
 
@@ -79,29 +80,22 @@ class TestDerived:
         assert util[1] == pytest.approx(1.0)  # 62500 bytes over 50 us
 
     def test_gauge_semantics(self):
-        gauge = CounterTrace.regular(
+        gauge = regular_trace(
             us(50), np.array([5, 7, 3]), ValueKind.GAUGE, name="buf"
         )
         assert list(gauge.gauge_values()) == [5, 7, 3]
-        assert gauge.n_intervals == 3
         with pytest.raises(AnalysisError):
             gauge.deltas()
 
     def test_histogram_deltas_2d(self):
         values = np.array([[0, 0], [2, 1], [5, 1]])
-        trace = CounterTrace.regular(us(25), values, ValueKind.CUMULATIVE)
+        trace = regular_trace(us(25), values, ValueKind.CUMULATIVE)
         deltas = trace.deltas()
         assert deltas.shape == (2, 2)
         assert list(deltas[0]) == [2, 1]
 
 
 class TestSliceDecimate:
-    def test_slice_time(self):
-        trace = byte_trace(range(10))
-        window = trace.slice_time(us(50), us(125))
-        assert len(window) == 3
-        assert window.timestamps_ns[0] == us(50)
-
     def test_decimate_preserves_cumulative_totals(self):
         trace = byte_trace([0, 10, 30, 60, 100, 150, 210, 280, 360])
         coarse = trace.decimate(4)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from factories import regular_trace
 
 from repro.core.samples import CounterTrace, ValueKind
 from repro.core.traceio import _crc, load_traces, save_traces
@@ -21,20 +22,20 @@ FIXTURES = Path(__file__).resolve().parents[1] / "data" / "traceio"
 
 
 def sample_traces():
-    byte_trace = CounterTrace.regular(
+    byte_trace = regular_trace(
         us(25),
         np.cumsum(np.arange(10)).astype(np.int64),
         ValueKind.CUMULATIVE,
         name="down0.tx_bytes",
         rate_bps=gbps(10),
     )
-    gauge = CounterTrace.regular(
+    gauge = regular_trace(
         us(50),
         np.array([3, 9, 1], dtype=np.int64),
         ValueKind.GAUGE,
         name="shared_buffer.peak",
     )
-    hist = CounterTrace.regular(
+    hist = regular_trace(
         us(25),
         np.cumsum(np.ones((4, 6), dtype=np.int64), axis=0),
         ValueKind.CUMULATIVE,
@@ -45,7 +46,7 @@ def sample_traces():
 
 def fixture_traces():
     """The traces stored in ``archive_v1.npz`` and ``archive_v2.npz``."""
-    tx = CounterTrace.regular(
+    tx = regular_trace(
         us(25),
         np.cumsum(np.arange(10, dtype=np.int64) * 1500),
         ValueKind.CUMULATIVE,
@@ -53,20 +54,20 @@ def fixture_traces():
         rate_bps=gbps(10),
         start_ns=seconds(3600),
     )
-    wrapped = CounterTrace.regular(
+    wrapped = regular_trace(
         us(25),
         np.array([2**32 - 3000, 2**32 - 1500, 1200, 2700], dtype=np.int64),
         ValueKind.CUMULATIVE,
         name="up0.rx_bytes",
         rate_bps=gbps(40),
     )
-    gauge = CounterTrace.regular(
+    gauge = regular_trace(
         us(50),
         np.array([3, 9, 1], dtype=np.int64),
         ValueKind.GAUGE,
         name="shared_buffer.peak",
     )
-    hist = CounterTrace.regular(
+    hist = regular_trace(
         us(25),
         np.cumsum(np.arange(24, dtype=np.int64).reshape(4, 6), axis=0),
         ValueKind.CUMULATIVE,
@@ -209,7 +210,7 @@ class TestDeltaCodec:
         ],
     )
     def test_values_stored_as_narrowest_deltas(self, tmp_path, values, dtype):
-        trace = CounterTrace.regular(us(25), values, ValueKind.CUMULATIVE, name="p")
+        trace = regular_trace(us(25), values, ValueKind.CUMULATIVE, name="p")
         path = tmp_path / "w.npz"
         save_traces(path, {"p": trace})
         with np.load(path, allow_pickle=False) as archive:
@@ -222,7 +223,7 @@ class TestDeltaCodec:
 
     def test_float_values_stored_raw(self, tmp_path):
         values = np.array([0.5, 0.25, 1.0])
-        trace = CounterTrace.regular(us(25), values, ValueKind.GAUGE, name="p")
+        trace = regular_trace(us(25), values, ValueKind.GAUGE, name="p")
         path = tmp_path / "w.npz"
         save_traces(path, {"p": trace})
         with np.load(path, allow_pickle=False) as archive:

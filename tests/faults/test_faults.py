@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from factories import regular_trace
 
-from repro.core.samples import CounterTrace, ValueKind
+from repro.core.samples import ValueKind
 from repro.errors import CollectionError, FaultInjectionError
 from repro.faults import (
     COUNTER_BITS_META,
@@ -30,7 +31,7 @@ def fault_counts(registry):
 
 def byte_trace(n=64, step=5000, name="down0.tx_bytes"):
     values = np.arange(n, dtype=np.int64) * step
-    return CounterTrace.regular(
+    return regular_trace(
         us(25), values, ValueKind.CUMULATIVE, name=name, rate_bps=gbps(10)
     )
 
@@ -164,14 +165,14 @@ class TestTraceFaults:
     def test_wrap_32bit_residual_zero(self):
         rng = np.random.default_rng(0)
         values = np.cumsum(rng.integers(0, 10_000_000, size=2000)).astype(np.int64)
-        trace = CounterTrace.regular(
+        trace = regular_trace(
             us(25), values, ValueKind.CUMULATIVE, name="t", rate_bps=gbps(100)
         )
         wrapped = FaultInjector(FaultPlan(wrap_bits=32)).wrap_trace(trace)
         assert np.array_equal(wrapped.deltas(), trace.deltas())
 
     def test_gauge_traces_never_wrapped(self):
-        gauge = CounterTrace.regular(
+        gauge = regular_trace(
             us(25), np.arange(10, dtype=np.int64), ValueKind.GAUGE, name="g"
         )
         out = FaultInjector(FaultPlan(wrap_bits=8)).wrap_trace(gauge)
@@ -244,7 +245,7 @@ class TestFaultyWindowSource:
         # Transient: the retry (attempt 1) succeeds.
         traces = source.sample_window(window)
         assert traces
-        assert source.attempts_for(window) == 2
+        assert source._attempts[window_site(window)] == 2
 
     def test_degradation_keyed_by_window_not_attempt(self):
         """A retried window must yield byte-identical traces."""

@@ -17,12 +17,7 @@ from repro.core.parallel import ParallelCampaign, shard_plan
 from repro.core.traceio import _crc
 from repro.errors import CollectionError, ConfigError
 from repro.experiments import run_experiment
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    accepts_param,
-    get_experiment,
-    supports_workers,
-)
+from repro.experiments.registry import EXPERIMENTS, accepts_param, get_experiment
 from repro.faults import FaultInjector, FaultPlan, FaultyWindowSource
 from repro.synth.dataset import SyntheticCampaignSource, default_plan
 from repro.telemetry.metrics import scoped_registry
@@ -234,7 +229,9 @@ SMALL_SCALE = dict(
     campaign_hours=2,
     campaign_window_s=0.5,
 )
-CAMPAIGN_EXPERIMENTS = [eid for eid in EXPERIMENTS if supports_workers(eid)]
+CAMPAIGN_EXPERIMENTS = [
+    eid for eid in EXPERIMENTS if accepts_param(get_experiment(eid), "workers")
+]
 
 
 def test_campaign_experiments_are_covered():

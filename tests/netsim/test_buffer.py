@@ -115,7 +115,7 @@ class TestWatermark:
 
     def test_occupancy_fraction(self, buffer):
         buffer.admit("q0", 2500)
-        assert buffer.occupancy_fraction() == pytest.approx(0.25)
+        assert buffer.occupancy_bytes / buffer.policy.capacity_bytes == pytest.approx(0.25)
 
 
 class TestPolicyValidation:

@@ -123,7 +123,7 @@ class TestEventQueue:
         keeper = queue.push(10**9, lambda: None)
         for i in range(10_000):
             queue.push(i + 1, lambda: None).cancel()
-            assert queue.heap_size <= max(queue.COMPACT_MIN, 2 * len(queue)) + 1
+            assert len(queue._heap) <= max(queue.COMPACT_MIN, 2 * len(queue)) + 1
         assert len(queue) == 1
         assert queue.pop() is keeper
 

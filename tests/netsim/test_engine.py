@@ -141,13 +141,6 @@ def test_deterministic_given_seed():
     assert run(3) != run(4)
 
 
-def test_spawn_rng_independent_streams():
-    sim = Simulator(seed=1)
-    a = sim.spawn_rng()
-    b = sim.spawn_rng()
-    assert a.random() != b.random()
-
-
 def test_events_processed_counter():
     sim = Simulator()
     for delay in (1, 2, 3):

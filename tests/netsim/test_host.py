@@ -104,11 +104,11 @@ class TestTransport:
 
     def test_active_flow_accounting(self, sim, small_rack):
         transport = small_rack.servers[0].transport
-        assert transport.active_flows == 0
+        assert len(transport._flows) == 0
         small_rack.servers[0].send_flow(small_rack.servers[1].name, 50_000)
-        assert transport.active_flows == 1
+        assert len(transport._flows) == 1
         sim.run_for(ms(20))
-        assert transport.active_flows == 0
+        assert len(transport._flows) == 0
         assert transport.flows_started == transport.flows_completed == 1
 
     def test_app_data_hook(self, sim, small_rack):

@@ -87,8 +87,8 @@ class TestWiring:
             switch.add_downlink("h0", lambda p: None)
 
     def test_rack_host_names(self, small_rack):
-        assert small_rack.server_names == ["t-s0", "t-s1", "t-s2", "t-s3"]
-        assert len(small_rack.remote_names) == 8
+        assert [server.name for server in small_rack.servers] == ["t-s0", "t-s1", "t-s2", "t-s3"]
+        assert len(small_rack.remote_hosts) == 8
         assert small_rack.host("t-s1").name == "t-s1"
         with pytest.raises(KeyError):
             small_rack.host("nope")

@@ -21,12 +21,6 @@ class TestDiscovery:
         surface, rack = surface_with_traffic
         assert set(surface.port_names) == {"down0", "down1", "down2", "down3", "up0", "up1"}
 
-    def test_ports_by_direction(self, surface_with_traffic):
-        from repro.netsim.port import Direction
-
-        surface, _ = surface_with_traffic
-        assert surface.ports_by_direction(Direction.UPLINK) == ["up0", "up1"]
-
     def test_port_rate(self, surface_with_traffic):
         surface, rack = surface_with_traffic
         assert surface.port_rate_bps("down0") == rack.config.switch.downlink_rate_bps
@@ -64,4 +58,4 @@ class TestReads:
     def test_buffer_capacity_and_occupancy(self, surface_with_traffic):
         surface, rack = surface_with_traffic
         assert surface.buffer_capacity_bytes == rack.config.switch.buffer.capacity_bytes
-        assert surface.read_buffer_occupancy() == 0  # traffic drained
+        assert rack.tor.shared_buffer.occupancy_bytes == 0  # traffic drained

@@ -12,6 +12,9 @@ same random stream and produce the same bytes.
 the kernels match them exactly — dtype and all — on arbitrary inputs, so
 the fast paths can be optimized freely without silently changing
 results.  ``benchmarks/bench_parallel.py`` times the kernels against them.
+The on/off chain's analytic transition probabilities (``implied_p11``,
+``implied_p01``) are the references the calibration tests hold the
+duration and gap models to.
 
 Production code never imports this module
 (``tests/test_determinism_lint.py`` holds that line).
@@ -24,7 +27,7 @@ import numpy as np
 from repro.core.samples import CounterTrace, ValueKind
 from repro.core.streaming import StreamingBurstStats
 from repro.errors import AnalysisError, ConfigError
-from repro.synth.calibration import DurationModel, PortProfile
+from repro.synth.calibration import DurationModel, GapModel, PortProfile
 from repro.synth.onoff import OnOffGenerator
 
 # -- cumulative-counter deltas ---------------------------------------------------
@@ -361,3 +364,17 @@ def loop_correlated_utilization(
         cold = ~hot[:, member]
         util[cold, member] = profile.cold.sample(rng, int(cold.sum()))
     return util, hot
+
+
+# -- on/off chain analytics --------------------------------------------------------
+
+
+def implied_p11(model: DurationModel) -> float:
+    """p(hot | hot) of the on/off chain whose burst durations follow
+    ``model``: a geometric holding time with mean E[D] has p11 = 1 - 1/E[D]."""
+    return 1.0 - 1.0 / model.mean()
+
+
+def implied_p01(model: GapModel) -> float:
+    """p(hot | cold) of the on/off chain whose gaps follow ``model``: 1/E[G]."""
+    return 1.0 / model.mean()

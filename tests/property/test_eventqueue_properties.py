@@ -44,9 +44,9 @@ def test_counters_match_naive_model_under_any_schedule(ops):
         assert bool(queue) == bool(live)
         # Physical heap = live + pending-cancelled entries, and
         # compaction keeps the garbage bounded.
-        assert queue.heap_size >= len(queue)
+        assert len(queue._heap) >= len(queue)
         assert (
-            queue.heap_size
+            len(queue._heap)
             <= len(queue) + max(queue.COMPACT_MIN, len(queue)) + 1
         )
 
@@ -74,7 +74,7 @@ def test_explicit_compaction_never_changes_observable_state(ops):
     before = (len(queue), queue.peek_time())
     queue.compact()
     assert (len(queue), queue.peek_time()) == before
-    assert queue.heap_size == len(queue)  # all garbage gone
+    assert len(queue._heap) == len(queue)  # all garbage gone
     drained = []
     while queue:
         drained.append(queue.pop())

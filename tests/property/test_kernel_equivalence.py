@@ -37,15 +37,13 @@ from oracles import (
 )
 from repro.analysis.bursts import (
     _burst_runs,
-    burst_durations_ns,
     extract_bursts,
     extract_bursts_from_trace,
     extract_bursts_gap_aware,
     hot_mask,
-    interburst_gaps_ns,
 )
 from repro.analysis.cdf import EmpiricalCdf
-from repro.analysis.runs import interior_run_lengths, run_lengths
+from repro.analysis.runs import run_lengths
 from repro.core.samples import CounterTrace, ValueKind
 from repro.synth.calibration import APP_PROFILES, DurationModel, IntensityModel
 from repro.synth.onoff import correlated_utilization
@@ -144,9 +142,10 @@ def test_run_lengths_equivalence(mask, value):
 
 @given(bool_arrays, st.booleans())
 def test_interior_run_lengths_equivalence(mask, value):
-    assert_same(
-        interior_run_lengths(mask, value), scalar_interior_run_lengths(mask, value)
-    )
+    """Interior runs of ``value`` are the inter-burst gaps of the series
+    that is hot wherever the mask is not ``value``."""
+    gaps = extract_bursts((mask != value).astype(float), 1).gaps_ns
+    assert_same(gaps, scalar_interior_run_lengths(mask, value))
 
 
 @given(utilizations, st.floats(0.05, 0.95))
@@ -163,8 +162,6 @@ def test_burst_extraction_equivalence(utilization, threshold):
     stats = extract_bursts(utilization, INTERVAL, threshold)
     assert_same(stats.durations_ns, scalar_run_lengths(mask, True) * INTERVAL)
     assert_same(stats.gaps_ns, scalar_interior_run_lengths(mask, False) * INTERVAL)
-    assert_same(burst_durations_ns(mask, INTERVAL), stats.durations_ns)
-    assert_same(interburst_gaps_ns(mask, INTERVAL), stats.gaps_ns)
 
 
 # -- gap-aware burst extraction --------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import implied_p11
 
 from repro.synth.calibration import DurationModel, GapModel
 from repro.synth.onoff import OnOffGenerator
@@ -29,7 +30,7 @@ def test_duration_model_mean_consistent_with_samples(head, decay):
 @given(head_pmfs, st.floats(0.0, 0.95))
 def test_duration_model_p11_in_unit_interval(head, decay):
     model = DurationModel(head=tuple(head), tail_decay=decay)
-    assert 0.0 <= model.implied_p11 < 1.0
+    assert 0.0 <= implied_p11(model) < 1.0
 
 
 # -- GapModel ----------------------------------------------------------------

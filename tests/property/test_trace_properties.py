@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from factories import regular_trace
 
 from repro.core.samples import CounterTrace, ValueKind
 from repro.synth.rackmodel import utilization_to_byte_trace
@@ -14,14 +15,14 @@ deltas_strategy = st.lists(st.integers(0, 100_000), min_size=1, max_size=100)
 @given(deltas_strategy)
 def test_deltas_invert_cumsum(deltas):
     values = np.concatenate(([0], np.cumsum(deltas))).astype(np.int64)
-    trace = CounterTrace.regular(us(25), values, ValueKind.CUMULATIVE, rate_bps=gbps(10))
+    trace = regular_trace(us(25), values, ValueKind.CUMULATIVE, rate_bps=gbps(10))
     assert list(trace.deltas()) == deltas
 
 
 @given(deltas_strategy, st.integers(1, 10))
 def test_decimation_conserves_total(deltas, factor):
     values = np.concatenate(([0], np.cumsum(deltas))).astype(np.int64)
-    trace = CounterTrace.regular(us(25), values, ValueKind.CUMULATIVE, rate_bps=gbps(10))
+    trace = regular_trace(us(25), values, ValueKind.CUMULATIVE, rate_bps=gbps(10))
     coarse = trace.decimate(factor)
     if len(coarse) >= 2:
         # total bytes between retained endpoints never changes
@@ -44,12 +45,3 @@ def test_utilization_round_trip(util):
     assert len(recovered) == len(util)
     assert np.abs(recovered - util).max() < 2e-3  # < 1 byte rounding per tick
     assert np.all(np.diff(trace.values) >= 0)
-
-
-@given(utilization_strategy, st.integers(0, 10**15))
-def test_slice_time_bounds(util, start):
-    trace = utilization_to_byte_trace(util, gbps(10), us(25), start_ns=start)
-    window = trace.slice_time(start, start + us(25) * max(1, len(util) // 2))
-    assert len(window) <= len(trace)
-    if len(window):
-        assert window.timestamps_ns[0] >= start

@@ -10,6 +10,7 @@ import zlib
 
 import numpy as np
 import pytest
+from factories import SMOKE_SCALE
 
 from repro.backends import SynthBackend
 from repro.backends.base import single_port_plan
@@ -93,11 +94,11 @@ class TestTelemetryNeverTouchesData:
         assert enabled_crc == disabled_crc
 
     def test_netsim_traces_identical_enabled_vs_disabled(self):
-        from repro.backends import NetsimBackend, NetsimScale
+        from repro.backends import NetsimBackend
         from repro.units import ms
 
         plan = single_port_plan("web", 1, ms(6), seed=0, port="down0")
-        backend = NetsimBackend(seed=0, scale=NetsimScale.smoke())
+        backend = NetsimBackend(seed=0, scale=SMOKE_SCALE)
         with scoped_registry():
             enabled_crc = trace_dict_crc(backend.sample_window(plan.windows[0]))
         try:
@@ -113,14 +114,14 @@ class TestNetsimTelemetry:
 
     @pytest.fixture(scope="class")
     def snapshots(self):
-        from repro.backends import NetsimBackend, NetsimScale
+        from repro.backends import NetsimBackend
         from repro.units import ms
 
         snapshots = []
         for seed in (0, 1):
             window = single_port_plan("web", 1, ms(2), seed=seed, port="down0").windows[0]
             with scoped_registry() as registry:
-                NetsimBackend(seed=seed, scale=NetsimScale.smoke()).sample_window(window)
+                NetsimBackend(seed=seed, scale=SMOKE_SCALE).sample_window(window)
                 snapshots.append(registry.snapshot())
         return snapshots
 

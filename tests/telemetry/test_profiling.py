@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from repro.telemetry.metrics import scoped_registry
-from repro.telemetry.profiling import profile_stage, profiling_enabled, set_profiling
+from repro.telemetry import profiling
+from repro.telemetry.profiling import profile_stage, set_profiling
 
 
 @pytest.fixture
 def set_flag():
-    previous = profiling_enabled()
+    previous = profiling._PROFILING
     yield set_profiling
     set_profiling(previous)
 

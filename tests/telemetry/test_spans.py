@@ -9,7 +9,6 @@ from repro.telemetry.spans import (
     TRACE_VERSION,
     Tracer,
     _NullSpan,
-    get_tracer,
     install_tracer,
     span,
 )
@@ -91,4 +90,5 @@ class TestExport:
         assert [record["name"] for record in records] == ["b", "a"]
 
     def test_get_tracer_reflects_install(self, tracer):
-        assert get_tracer() is tracer
+        # Installing returns the tracer that was ambient until then.
+        assert install_tracer(tracer) is tracer

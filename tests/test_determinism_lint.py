@@ -22,6 +22,11 @@ There is one campaign driver: only ``repro.core.parallel`` constructs a
 resumed runs all take the same path.  And ``src/repro/core/`` starts no
 threads: a thread cannot be killed, so a timeout built on one abandons
 work that keeps running (ROADMAP item 5).  Process pools stay allowed.
+
+Finally, ``src/`` holds only what production code uses: every module is
+reached from the CLI, and every function, class and method is referred to
+from ``src/``, ``examples/``, ``benchmarks/`` or ``perfbench/`` (tests and
+package re-exports do not count), unless an allowlist names the reason.
 """
 
 import ast
@@ -475,3 +480,160 @@ def test_reachability_follows_re_exports_but_not_package_inits(tmp_path):
         },
     )
     assert _unreached_modules(src) == ["repro.core.orphan"]
+
+
+# -- every src/ definition has a production caller ----------------------------------
+
+#: Trees whose code counts as a caller of a ``src/repro`` definition: the
+#: package itself (package ``__init__`` files excepted), the examples, the
+#: benchmarks and the performance harness.  ``tests/`` does not count.
+CALLER_ROOTS = ("src", "examples", "benchmarks", "perfbench")
+
+_STREAMING = (
+    "the campaign's mergeable per-window burst summary, not wired in yet "
+    "(ROADMAP item 9)"
+)
+_BUFFER_WINDOW = (
+    "the buffer-window protocol method fig10 moves onto when every window "
+    "kind takes one collection path (ROADMAP item 3)"
+)
+
+#: Definitions kept although no production code refers to them, with the
+#: reason (qualified as ``module.Class.method``).
+UNCALLED_ALLOWLIST = {
+    "repro.core.streaming.StreamingBurstStats": _STREAMING,
+    "repro.core.streaming.StreamingBurstStats.merge": _STREAMING,
+    "repro.core.streaming.StreamingBurstStats.duration_quantile_ns": _STREAMING,
+    "repro.core.streaming.StreamingBurstStats.transition_matrix": _STREAMING,
+    "repro.core.streaming.StreamingBurstStats.memory_bytes": _STREAMING,
+    "repro.backends.base.MeasurementBackend.sample_buffer_window": _BUFFER_WINDOW,
+    "repro.backends.synth.SynthBackend.sample_buffer_window": _BUFFER_WINDOW,
+    "repro.backends.netsim.NetsimBackend.sample_buffer_window": _BUFFER_WINDOW,
+    "repro.netsim.events.EventQueue.push": (
+        "the reference copy of the insert that Simulator.schedule and "
+        "schedule_at inline; tests/netsim/test_clock_events.py and "
+        "tests/property/test_eventqueue_properties.py drive the queue "
+        "through it"
+    ),
+    "repro.netsim.events.Event.cancel": (
+        "the cancellation that the queue's lazy deletion and compaction "
+        "implement; no workload cancels a timer yet, and "
+        "tests/netsim/test_clock_events.py and "
+        "tests/property/test_eventqueue_properties.py exercise compaction "
+        "through it"
+    ),
+    "repro.netsim.buffer.SharedBuffer.occupancy_bytes": (
+        "tests/netsim/test_buffer.py, tests/netsim/test_port.py and "
+        "tests/property/test_buffer_properties.py check admission and "
+        "release against the occupancy it reads"
+    ),
+}
+
+
+def _definitions(tree: ast.Module, module: str):
+    """``(qualified name, bare name, node)`` for every top-level function
+    and class of a module and every method of those classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs):
+            continue
+        yield f"{module}.{node.name}", node.name, node
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{module}.{node.name}.{child.name}", child.name, child
+
+
+def _references(tree: ast.AST) -> list[tuple[str, int]]:
+    """``(name, line)`` of every ``Name``, ``Attribute`` and import alias."""
+    found: list[tuple[str, int]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.extend((alias.name.split(".")[-1], node.lineno) for alias in node.names)
+    return found
+
+
+def _uncalled_definitions(src: Path, caller_roots: list[Path]) -> list[str]:
+    """Qualified names of ``src`` definitions no caller refers to.
+
+    A definition counts as called when a file under ``caller_roots`` names
+    it (by bare name, as a variable, an attribute or an imported name)
+    outside the definition's own body.  References from package
+    ``__init__`` files do not count: a re-export is not a use.  Dunder
+    methods are exempt; the interpreter calls them.
+    """
+    refs: dict[str, list[tuple[Path, int]]] = {}
+    for root in caller_roots:
+        for path in sorted(root.rglob("*.py")):
+            if path.name == "__init__.py" and path.is_relative_to(src):
+                continue
+            for name, line in _references(ast.parse(path.read_text(), filename=str(path))):
+                refs.setdefault(name, []).append((path, line))
+    uncalled: list[str] = []
+    for module, path in _module_names(src).items():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualified, name, node in _definitions(tree, module):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own_body = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                ref_path != path or line not in own_body
+                for ref_path, line in refs.get(name, [])
+            ):
+                uncalled.append(qualified)
+    return sorted(uncalled)
+
+
+def _production_uncalled() -> list[str]:
+    repo = SRC.parent.parent
+    return _uncalled_definitions(SRC, [repo / root for root in CALLER_ROOTS])
+
+
+def test_every_src_definition_has_a_production_caller():
+    uncalled = [name for name in _production_uncalled() if name not in UNCALLED_ALLOWLIST]
+    assert not uncalled, (
+        "every function, class and method under src/repro must be referred "
+        "to from src/, examples/, benchmarks/ or perfbench/ (package "
+        "re-exports and tests do not count); delete these, move a test "
+        "helper or oracle to tests/, or add an UNCALLED_ALLOWLIST entry "
+        "with its reason:\n" + "\n".join(uncalled)
+    )
+
+
+def test_uncalled_allowlist_is_current():
+    assert all(UNCALLED_ALLOWLIST.values())
+    assert set(UNCALLED_ALLOWLIST) <= set(_production_uncalled())
+
+
+def test_definition_lint_ignores_inits_and_tests_but_follows_attributes(tmp_path):
+    src = _write_package(
+        tmp_path,
+        {
+            "__init__.py": "from repro.core import exported\n",
+            "cli.py": (
+                "from repro.core import Engine\n"
+                "def main():\n"
+                "    return Engine().run()\n"
+            ),
+            "core.py": (
+                "def exported():\n"
+                "    return exported()\n"
+                "def tested():\n"
+                "    pass\n"
+                "class Engine:\n"
+                "    def __init__(self):\n"
+                "        self.steps = 0\n"
+                "    def run(self):\n"
+                "        return self.steps\n"
+            ),
+        },
+    )
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_core.py").write_text("from repro.core import tested\ntested()\n")
+    uncalled = _uncalled_definitions(src, [src, tests.parent / "examples"])
+    assert uncalled == ["repro.cli.main", "repro.core.exported", "repro.core.tested"]

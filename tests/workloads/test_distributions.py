@@ -6,30 +6,24 @@ import pytest
 from repro.errors import ConfigError
 from repro.netsim import Simulator
 from repro.units import seconds
-from repro.workloads.distributions import (
-    EmpiricalSizes,
-    FixedSizes,
-    LogNormalSizes,
-    ParetoSizes,
-)
+from repro.workloads.distributions import LogNormalSizes, ParetoSizes
 from repro.workloads.flows import OnOffArrivals, PoissonArrivals
 
 
-class TestSizeDistributions:
-    def test_fixed(self, rng):
-        assert FixedSizes(100).sample(rng) == 100
-        with pytest.raises(ConfigError):
-            FixedSizes(0)
+def sample_many(dist, rng, n):
+    return np.array([dist.sample(rng) for _ in range(n)], dtype=np.int64)
 
+
+class TestSizeDistributions:
     def test_lognormal_median(self, rng):
         dist = LogNormalSizes(median_bytes=10_000, sigma=0.5)
-        samples = dist.sample_many(rng, 3000)
+        samples = sample_many(dist, rng, 3000)
         assert np.median(samples) == pytest.approx(10_000, rel=0.1)
         assert samples.min() >= 64
 
     def test_lognormal_clipping(self, rng):
         dist = LogNormalSizes(median_bytes=1000, sigma=2.0, min_bytes=500, max_bytes=2000)
-        samples = dist.sample_many(rng, 500)
+        samples = sample_many(dist, rng, 500)
         assert samples.min() >= 500 and samples.max() <= 2000
 
     def test_lognormal_validation(self):
@@ -40,26 +34,14 @@ class TestSizeDistributions:
 
     def test_pareto_heavy_tail(self, rng):
         dist = ParetoSizes(min_bytes=1000, alpha=1.2)
-        samples = dist.sample_many(rng, 5000)
+        samples = sample_many(dist, rng, 5000)
         assert samples.min() >= 1000
         # heavy tail: max far beyond median
         assert samples.max() > 20 * np.median(samples)
 
     def test_pareto_bounded(self, rng):
         dist = ParetoSizes(min_bytes=1000, alpha=0.8, max_bytes=10_000)
-        assert dist.sample_many(rng, 1000).max() <= 10_000
-
-    def test_empirical(self, rng):
-        dist = EmpiricalSizes(sizes=(100, 200), weights=(0.9, 0.1))
-        samples = dist.sample_many(rng, 2000)
-        assert set(np.unique(samples)) <= {100, 200}
-        assert (samples == 100).mean() > 0.8
-
-    def test_empirical_validation(self):
-        with pytest.raises(ConfigError):
-            EmpiricalSizes(sizes=(1,), weights=(0.5, 0.5))
-        with pytest.raises(ConfigError):
-            EmpiricalSizes(sizes=(1,), weights=(0.0,))
+        assert sample_many(dist, rng, 1000).max() <= 10_000
 
 
 class TestPoissonArrivals:
