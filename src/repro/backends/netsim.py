@@ -207,7 +207,7 @@ class NetsimBackend:
         ).inc(sim.events_processed)
         registry.gauge(
             "netsim.peak_heap_size", "largest event-heap footprint seen"
-        ).set_max(sim.queue.peak_heap_size)
+        ).set_max(sim.peak_heap_size)
         registry.counter(
             "netsim.wall_ns", "host ns spent building and running windows"
         ).inc(elapsed_ns)

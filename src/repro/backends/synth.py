@@ -30,7 +30,7 @@ from repro.core.seeding import window_rng
 from repro.errors import ConfigError
 from repro.synth.buffermodel import BufferResponseModel
 from repro.synth.calibration import APP_PROFILES, BASE_TICK_NS, AppProfile
-from repro.synth.dataset import SyntheticCampaignSource
+from repro.synth.dataset import PORT_RATE_BPS, SyntheticCampaignSource
 from repro.synth.onoff import OnOffGenerator
 from repro.synth.rackmodel import (
     RackSynthesizer,
@@ -38,7 +38,7 @@ from repro.synth.rackmodel import (
     synthesize_size_histogram,
     utilization_to_byte_trace,
 )
-from repro.units import gbps, ms
+from repro.units import ms
 
 #: Fig 10's buffer-watermark cadence: one peak reading per 50 ms window.
 BUFFER_WINDOW_NS = ms(50)
@@ -60,7 +60,7 @@ class SynthBackend:
     name: ClassVar[str] = "synth"
 
     tick_ns: ClassVar[int] = BASE_TICK_NS
-    rate_bps: ClassVar[float] = gbps(10)
+    rate_bps: ClassVar[float] = PORT_RATE_BPS
     n_downlinks: ClassVar[int] = DEFAULT_N_DOWNLINKS
     n_uplinks: ClassVar[int] = DEFAULT_N_UPLINKS
 
@@ -79,10 +79,7 @@ class SynthBackend:
 
     def sample_window(self, window: CampaignWindow) -> dict[str, CounterTrace]:
         with timed_window(self.name):
-            source = SyntheticCampaignSource(
-                seed=self.seed, tick_ns=self.tick_ns, rate_bps=self.rate_bps
-            )
-            return source.sample_window(window)
+            return SyntheticCampaignSource(seed=self.seed).sample_window(window)
 
     def sample_histogram_window(self, window: CampaignWindow) -> dict[str, CounterTrace]:
         profile = _profile(window.rack_type)

@@ -11,7 +11,6 @@ collects (byte counts, packet-size histograms, peak buffer occupancy).
 
 from repro.netsim.clock import SimClock
 from repro.netsim.engine import Simulator
-from repro.netsim.events import Event, EventQueue
 from repro.netsim.packet import FiveTuple, Packet
 from repro.netsim.buffer import BufferPolicy, SharedBuffer
 from repro.netsim.link import Link
@@ -28,8 +27,6 @@ from repro.netsim.tracing import SwitchCounterSurface
 __all__ = [
     "SimClock",
     "Simulator",
-    "Event",
-    "EventQueue",
     "FiveTuple",
     "Packet",
     "BufferPolicy",

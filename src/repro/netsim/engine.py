@@ -1,12 +1,21 @@
 """Discrete-event simulation engine.
 
-The engine owns the clock and the event queue and runs callbacks in time
+The engine owns the clock and the event heap and runs callbacks in time
 order.  Components (links, ports, hosts, samplers) schedule themselves
 through :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`.
+
+A heap entry *is* the event: a plain ``(time_ns, seq, action, args)``
+tuple.  ``seq`` comes from one counter in scheduling order, so keys are
+unique, sift comparisons are C-level int compares that never reach the
+(incomparable) action, and simultaneous events run FIFO — which keeps
+whole simulations reproducible for a fixed seed.  There is no
+cancellation: a timer that must not act checks its own state when it
+fires.
 """
 
 from __future__ import annotations
 
+import itertools
 from heapq import heappop, heappush
 from typing import Callable
 
@@ -14,7 +23,6 @@ import numpy as np
 
 from repro.errors import SchedulingError, SimulationError
 from repro.netsim.clock import SimClock
-from repro.netsim.events import Event, EventQueue
 
 
 class Simulator:
@@ -30,7 +38,9 @@ class Simulator:
 
     def __init__(self, seed: int | np.random.Generator | None = 0) -> None:
         self.clock = SimClock()
-        self.queue = EventQueue()
+        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
+        self._seq = itertools.count()
+        self._peak_heap = 0
         if isinstance(seed, np.random.Generator):
             self.rng = seed
         else:
@@ -48,7 +58,14 @@ class Simulator:
     def events_processed(self) -> int:
         return self._events_processed
 
-    def schedule(self, delay_ns: int, action: Callable[..., None], *args) -> Event:
+    @property
+    def peak_heap_size(self) -> int:
+        """High-water mark of pending events over the simulator's
+        lifetime — the telemetry layer's memory-cost gauge for the
+        engine."""
+        return self._peak_heap
+
+    def schedule(self, delay_ns: int, action: Callable[..., None], *args) -> None:
         """Schedule ``action(*args)`` after ``delay_ns`` relative to now.
 
         Passing ``args`` through the event (instead of closing over them)
@@ -57,41 +74,26 @@ class Simulator:
         """
         if delay_ns < 0:
             raise SchedulingError(f"negative delay {delay_ns}")
-        # Inlined EventQueue.push (events.py keeps the reference copy):
-        # one Python call per scheduled packet is measurable at campaign
-        # scale, and the negative-time re-check is redundant here.
-        time_ns = self.clock.now + int(delay_ns)
-        queue = self.queue
-        seq = queue._next_seq
-        queue._next_seq = seq + 1
-        event = Event(time_ns, seq, action, args)
-        event._queue = queue
-        heap = queue._heap
-        heappush(heap, (time_ns, seq, event))
-        queue._live += 1
-        if len(heap) > queue._peak_heap:
-            queue._peak_heap = len(heap)
-        return event
+        heap = self._heap
+        heappush(heap, (self.clock.now + int(delay_ns), next(self._seq), action, args))
+        if len(heap) > self._peak_heap:
+            self._peak_heap = len(heap)
 
-    def schedule_at(self, time_ns: int, action: Callable[..., None], *args) -> Event:
-        """Schedule ``action(*args)`` at absolute time ``time_ns`` (>= now)."""
+    def schedule_at(self, time_ns: int, action: Callable[..., None], *args) -> None:
+        """Schedule ``action(*args)`` at absolute time ``time_ns`` (>= now).
+
+        Together with :meth:`schedule`'s negative-delay check, this is
+        the only way onto the heap, so the run loop never meets an event
+        in the past.
+        """
         if time_ns < self.clock.now:
             raise SchedulingError(
                 f"cannot schedule at {time_ns} before now={self.clock.now}"
             )
-        # Inlined EventQueue.push — see schedule() above.
-        time_ns = int(time_ns)
-        queue = self.queue
-        seq = queue._next_seq
-        queue._next_seq = seq + 1
-        event = Event(time_ns, seq, action, args)
-        event._queue = queue
-        heap = queue._heap
-        heappush(heap, (time_ns, seq, event))
-        queue._live += 1
-        if len(heap) > queue._peak_heap:
-            queue._peak_heap = len(heap)
-        return event
+        heap = self._heap
+        heappush(heap, (int(time_ns), next(self._seq), action, args))
+        if len(heap) > self._peak_heap:
+            self._peak_heap = len(heap)
 
     # -- execution ---------------------------------------------------------
 
@@ -116,54 +118,31 @@ class Simulator:
         self._running = True
         processed = 0
         # Hot loop: this runs once per simulated event, millions of times
-        # per campaign window, so the unbounded path walks the heap
-        # directly (no per-event method calls) and advances the clock by
-        # plain assignment.  compact() rebuilds the heap list in place,
-        # so the local reference stays valid across event actions.
-        queue = self.queue
+        # per campaign window, so it walks the heap directly (no
+        # per-event method calls) and advances the clock by plain
+        # assignment; insertion already refused every time in the past.
         clock = self.clock
-        heap = queue._heap
+        heap = self._heap
         pop = heappop
-        now_ns = clock.now
         try:
             if max_events is None:
-                while heap:
-                    entry = heap[0]
-                    event = entry[2]
-                    if event.cancelled:
-                        pop(heap)
-                        queue._cancelled -= 1
-                        continue
-                    time_ns = entry[0]
-                    if time_ns > end_ns:
-                        break
-                    pop(heap)
-                    queue._live -= 1
-                    event._queue = None
-                    if time_ns < now_ns:
-                        # Only reachable via a raw queue.push into the
-                        # past; delegate for the standard error message.
-                        clock.advance_to(time_ns)
-                    now_ns = time_ns
+                while heap and heap[0][0] <= end_ns:
+                    time_ns, _, action, args = pop(heap)
                     clock.now = time_ns
-                    event.action(*event.args)
+                    action(*args)
                     processed += 1
             else:
-                pop_due = queue.pop_due
-                advance = clock.advance_to
-                while (event := pop_due(end_ns)) is not None:
-                    advance(event.time_ns)
-                    event.action(*event.args)
-                    processed += 1
+                while heap and heap[0][0] <= end_ns:
                     if processed >= max_events:
-                        next_time = queue.peek_time()
-                        if next_time is not None and next_time <= end_ns:
-                            raise SimulationError(
-                                f"exceeded max_events={max_events} "
-                                f"before reaching {end_ns}"
-                            )
-                        break
-            self.clock.advance_to(end_ns)
+                        raise SimulationError(
+                            f"exceeded max_events={max_events} "
+                            f"before reaching {end_ns}"
+                        )
+                    time_ns, _, action, args = pop(heap)
+                    clock.now = time_ns
+                    action(*args)
+                    processed += 1
+            clock.advance_to(end_ns)
         finally:
             self._running = False
             self._events_processed += processed

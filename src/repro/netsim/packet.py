@@ -9,15 +9,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.units import MAX_FRAME, MIN_PACKET
 
 _packet_ids = itertools.count()
 
 
-@dataclass(frozen=True, slots=True)
-class FiveTuple:
-    """Flow identity used by ECMP flow hashing."""
+class FiveTuple(NamedTuple):
+    """Flow identity used by ECMP flow hashing.
+
+    A named tuple, so the per-packet dict lookups keyed on flows (ECMP
+    choice, transport state, reversal memo) hash and compare in C.
+    """
 
     src_host: str
     dst_host: str

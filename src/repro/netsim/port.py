@@ -4,7 +4,7 @@ Each port owns an egress queue backed by the switch's shared buffer and a
 set of cumulative counters mirroring what the paper's framework polls:
 
 * cumulative bytes and packets, per direction (Sec 4.1 "Byte count"),
-* a packet-size histogram with ASIC-style bins (Sec 4.1 "Packet size"),
+* an egress packet-size histogram with ASIC-style bins (Sec 4.1 "Packet size"),
 * congestion-drop counts (used by the coarse-grained Fig 1/2 analysis).
 
 Counters are cumulative and never reset by the data plane; samplers
@@ -78,7 +78,6 @@ class PortCounters:
     rx_packets: int = 0
     tx_drops: int = 0
     tx_size_hist: list[int] = field(default_factory=lambda: [0] * len(SIZE_BIN_EDGES))
-    rx_size_hist: list[int] = field(default_factory=lambda: [0] * len(SIZE_BIN_EDGES))
 
     def record_tx(self, packet: Packet) -> None:
         self.tx_bytes += packet.size_bytes
@@ -88,7 +87,6 @@ class PortCounters:
     def record_rx(self, packet: Packet) -> None:
         self.rx_bytes += packet.size_bytes
         self.rx_packets += 1
-        self.rx_size_hist[size_bin_index(packet.size_bytes)] += 1
 
 
 class Port:

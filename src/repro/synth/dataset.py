@@ -21,6 +21,10 @@ from repro.synth.onoff import OnOffGenerator
 from repro.synth.rackmodel import utilization_to_byte_trace
 from repro.units import gbps, seconds
 
+#: Line rate of every synthesised port: the measured racks' 10 Gb/s
+#: server links.  Windows are synthesised at ``BASE_TICK_NS``.
+PORT_RATE_BPS = gbps(10)
+
 
 @dataclass(slots=True)
 class SyntheticCampaignSource:
@@ -33,8 +37,6 @@ class SyntheticCampaignSource:
     """
 
     seed: int = 0
-    tick_ns: int = BASE_TICK_NS
-    rate_bps: float = gbps(10)
 
     def sample_window(self, window: CampaignWindow) -> dict[str, CounterTrace]:
         try:
@@ -47,12 +49,12 @@ class SyntheticCampaignSource:
         # Window identity -> deterministic, independent stream, so serial,
         # sharded-parallel, and resumed runs all see the same randomness.
         rng = window_rng(self.seed, window.rack_id, window.hour)
-        n_ticks = window.duration_ns // self.tick_ns
+        n_ticks = window.duration_ns // BASE_TICK_NS
         series = OnOffGenerator(port_profile).generate(int(n_ticks), rng)
         trace = utilization_to_byte_trace(
             series.utilization,
-            self.rate_bps,
-            self.tick_ns,
+            PORT_RATE_BPS,
+            BASE_TICK_NS,
             name=f"{window.port_name}.tx_bytes",
             start_ns=window.start_ns,
         )

