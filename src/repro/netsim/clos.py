@@ -13,11 +13,13 @@ production but we can inject.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.units import gbps
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,9 +49,16 @@ class ClosConfig:
 
 
 class ClosFabric:
-    """A multi-rooted Clos graph with failure injection."""
+    """A multi-rooted Clos graph with failure injection.
+
+    ``networkx`` is imported on construction, not with the module:
+    ``repro.netsim`` re-exports this class, and only ext-failures builds
+    one.
+    """
 
     def __init__(self, config: ClosConfig | None = None) -> None:
+        import networkx as nx
+
         self.config = config or ClosConfig()
         self.graph = nx.Graph()
         self._build()
@@ -120,6 +129,8 @@ class ClosFabric:
             elif data["tier"] == "spine":
                 if self.graph.degree(node) != cfg.n_pods:
                     raise ConfigError(f"{node} has wrong degree")
+        import networkx as nx
+
         if not nx.is_connected(self.graph):
             raise ConfigError("fabric is not connected")
 

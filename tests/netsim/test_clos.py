@@ -1,5 +1,10 @@
 """Clos fabric topology tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
 
@@ -95,3 +100,14 @@ class TestFailures:
         before = sum(fabric.uplink_capacity_factors(tor))
         fabric.fail_link(tor, ClosFabric.fabric_name(0, 0))
         assert sum(fabric.uplink_capacity_factors(tor)) < before
+
+
+def test_importing_the_package_leaves_networkx_unloaded():
+    # Only ext-failures builds a ClosFabric; every other run skips the import.
+    src = Path(__file__).resolve().parents[2] / "src"
+    code = "import sys, repro, repro.experiments, repro.backends; print('networkx' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
