@@ -22,7 +22,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Protocol
+from typing import Any, Callable, Iterator, Protocol
 
 from repro.core.samples import CounterTrace
 from repro.core.traceio import load_traces, save_traces
@@ -127,16 +127,23 @@ class RetryPolicy:
             raise ConfigError("backoff must be non-negative and non-shrinking")
 
 
+#: What a campaign keeps of one window: a function of the window's traces
+#: (an empty dict for a failed window), applied inside the shard.
+Reduction = Callable[[dict[str, CounterTrace]], Any]
+
+
 @dataclass(slots=True)
 class CampaignResult:
     """Collected traces keyed by window, with per-window outcomes.
 
     ``traces`` and ``outcomes`` stay parallel to ``plan.windows`` — failed
     windows hold an empty dict — so positional pairing is always valid.
+    A campaign run with a :data:`Reduction` holds that reduction's
+    product of each window's traces instead of the traces.
     """
 
     plan: CampaignPlan
-    traces: list[dict[str, CounterTrace]]
+    traces: list[Any]
     outcomes: list[WindowOutcome]
 
     def _check_aligned(self) -> None:
@@ -207,6 +214,11 @@ class MeasurementCampaign:
         ``run(resume=True)`` restarts after the last completed window.
     sleep:
         Injectable backoff sleep (tests pass a no-op).
+    reduce:
+        When set, each window's traces are replaced by ``reduce(traces)``
+        as soon as the window is collected (after its checkpoint write)
+        or loaded on resume, so the campaign never holds more than one
+        window's traces.  Checkpoints always keep the traces.
     """
 
     def __init__(
@@ -216,12 +228,14 @@ class MeasurementCampaign:
         retry: RetryPolicy | None = None,
         checkpoint_dir: str | Path | None = None,
         sleep: Callable[[float], None] = time.sleep,
+        reduce: Reduction | None = None,
     ) -> None:
         self.plan = plan
         self.backend = backend
         self.retry = retry
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         self._sleep = sleep
+        self.reduce = reduce
 
     # -- checkpointing -----------------------------------------------------------
 
@@ -387,17 +401,18 @@ class MeasurementCampaign:
         """
         registry = get_registry()
         done = self._load_checkpoint() if resume else {}
-        traces_by_index: dict[int, dict[str, CounterTrace]] = {}
+        kept: dict[int, Any] = {}
         outcomes: list[WindowOutcome] = []
         for index, outcome in list(done.items()):
+            loaded: dict[str, CounterTrace] = {}
             if outcome.status.has_traces:
                 try:
-                    traces_by_index[index] = load_traces(self._trace_path(index))
+                    loaded = load_traces(self._trace_path(index))
                 except ReproError:
                     # Damaged checkpoint entry: forget it and re-collect.
                     del done[index]
-            else:
-                traces_by_index[index] = {}
+                    continue
+            kept[index] = self._keep(loaded)
         registry.counter(
             "campaign.windows_resumed", "windows restored from checkpoint"
         ).inc(len(done))
@@ -415,12 +430,15 @@ class MeasurementCampaign:
                     f"campaign.windows_{outcome.status.value}",
                     "window collections by terminal status",
                 ).inc()
-                traces_by_index[index] = window_traces
                 outcomes.append(outcome)
                 self._checkpoint_window(outcome, window_traces)
+                kept[index] = self._keep(window_traces)
         outcomes.sort(key=lambda o: o.index)
         return CampaignResult(
             plan=self.plan,
-            traces=[traces_by_index[i] for i in range(len(self.plan.windows))],
+            traces=[kept[i] for i in range(len(self.plan.windows))],
             outcomes=outcomes,
         )
+
+    def _keep(self, traces: dict[str, CounterTrace]) -> Any:
+        return traces if self.reduce is None else self.reduce(traces)

@@ -45,11 +45,11 @@ from repro.core.campaign import (
     CampaignResult,
     CampaignWindow,
     MeasurementCampaign,
+    Reduction,
     RetryPolicy,
     WindowOutcome,
     WindowSource,
 )
-from repro.core.samples import CounterTrace
 from repro.errors import CollectionError, ConfigError
 from repro.obs import get_logger
 from repro.telemetry.metrics import get_registry, scoped_registry
@@ -99,13 +99,16 @@ def _collect_shard(
     retry: RetryPolicy | None,
     checkpoint_dir: str | None,
     resume: bool,
-) -> tuple[list[WindowOutcome], list[dict[str, CounterTrace]], dict]:
+    reduce: Reduction | None,
+) -> tuple[list[WindowOutcome], list, dict]:
     """Run one shard as an ordinary resilient campaign (worker entry point).
 
     Module-level so it pickles; the ``backend`` argument arrives as a
     process-local copy in pool workers, which is exactly what keeps
     mutable backend state (retry attempt counters) shard-local and
-    order-independent.
+    order-independent.  With a ``reduce`` the shard returns each
+    window's product, not its traces, so a worker ships back only what
+    the caller keeps.
 
     Telemetry runs inside :func:`~repro.telemetry.scoped_registry`, so
     the returned snapshot holds exactly this shard's increments —
@@ -115,7 +118,7 @@ def _collect_shard(
     """
     subplan = CampaignPlan(windows=windows)
     campaign = MeasurementCampaign(
-        subplan, backend, retry=retry, checkpoint_dir=checkpoint_dir
+        subplan, backend, retry=retry, checkpoint_dir=checkpoint_dir, reduce=reduce
     )
     with scoped_registry() as registry:
         result = campaign.run(resume=resume)
@@ -141,6 +144,11 @@ class ParallelCampaign:
         (no pickling requirement) but keeps the identical shard/merge
         path and checkpoint layout, so results and checkpoints match the
         multi-worker run byte for byte.
+    reduce:
+        Per-window :data:`~repro.core.campaign.Reduction`, applied inside
+        every shard; the result then holds its products.  With
+        ``workers > 1`` it must pickle (a module-level function, or a
+        ``functools.partial`` of one).
 
     Telemetry recorded inside every shard — including the ``faults.*``
     counters of a fault-injecting source — is merged into the ambient
@@ -154,6 +162,7 @@ class ParallelCampaign:
         retry: RetryPolicy | None = None,
         checkpoint_dir: str | Path | None = None,
         workers: int = 1,
+        reduce: Reduction | None = None,
     ) -> None:
         if workers <= 0:
             raise ConfigError(f"workers must be positive, got {workers}")
@@ -162,6 +171,7 @@ class ParallelCampaign:
         self.retry = retry
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         self.workers = workers
+        self.reduce = reduce
         self.shards = shard_plan(plan)
 
     # -- checkpoint layout -------------------------------------------------------
@@ -205,7 +215,9 @@ class ParallelCampaign:
 
     def _shard_args(self, shard: Shard, resume: bool) -> tuple:
         windows = tuple(self.plan.windows[i] for i in shard.indices)
-        return (windows, self.backend, self.retry, self._shard_dir(shard), resume)
+        return (
+            windows, self.backend, self.retry, self._shard_dir(shard), resume, self.reduce
+        )
 
     def run(self, resume: bool = False) -> CampaignResult:
         """Collect every shard and merge results back into plan order.
@@ -262,7 +274,7 @@ class ParallelCampaign:
     def _merge(self, results: dict[int, tuple]) -> CampaignResult:
         n = len(self.plan.windows)
         outcomes: list[WindowOutcome | None] = [None] * n
-        traces: list[dict[str, CounterTrace] | None] = [None] * n
+        traces: list = [None] * n
         for shard in self.shards:
             shard_outcomes, shard_traces, _ = results[shard.shard_id]
             for local, global_index in enumerate(shard.indices):

@@ -19,21 +19,29 @@ from repro.analysis.cdf import EmpiricalCdf
 from repro.data.io import distribution_from_samples, read_distribution, write_distribution
 from repro.data.schema import DistributionFile
 from repro.errors import DataFormatError
-from repro.experiments.common import APPS, app_byte_traces
+from repro.core.samples import CounterTrace
+from repro.experiments.common import APPS, reduce_app_traces
 from repro.units import NS_PER_US
 
 #: figures with a release-format distribution, and their sample units
 _UNITS = {"fig3": "us", "fig4": "us", "fig6": "fraction"}
 
 
+def _trace_samples(trace: CounterTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What export keeps of a trace: burst durations, gaps, utilization."""
+    stats = extract_bursts_from_trace(trace)
+    return stats.durations_ns, stats.gaps_ns, trace.utilization()
+
+
 def _app_samples(app: str, seed: int, n_windows: int, window_s: float) -> dict[str, np.ndarray]:
     """Every exportable figure's samples for one app, from one collection."""
-    traces = app_byte_traces(app, seed=seed, n_windows=n_windows, window_s=window_s)
-    stats = [extract_bursts_from_trace(trace) for trace in traces]
+    durations, gaps, utilization = zip(*reduce_app_traces(
+        app, reduce=_trace_samples, seed=seed, n_windows=n_windows, window_s=window_s
+    ))
     return {
-        "fig3": np.concatenate([s.durations_ns for s in stats]) / NS_PER_US,
-        "fig4": np.concatenate([s.gaps_ns for s in stats]) / NS_PER_US,
-        "fig6": np.clip(np.concatenate([t.utilization() for t in traces]), 0.0, 1.0),
+        "fig3": np.concatenate(durations) / NS_PER_US,
+        "fig4": np.concatenate(gaps) / NS_PER_US,
+        "fig6": np.clip(np.concatenate(utilization), 0.0, 1.0),
     }
 
 

@@ -22,8 +22,10 @@ from repro.analysis.mad import normalized_mad_series, resample_utilization
 from repro.experiments.common import (
     APPS,
     ExperimentResult,
-    app_byte_traces,
+    reduce_app_traces,
 )
+from repro.experiments.fig3_burst_durations import burst_durations
+from repro.experiments.fig4_interburst import burst_gaps
 from repro.netsim import (
     BufferPolicy,
     RackConfig,
@@ -90,13 +92,10 @@ def run_cc(
         title="Sec 7: congestion signals arrive after many µbursts end",
     )
     for app in APPS:
-        traces = app_byte_traces(
-            app, seed=seed, n_windows=n_windows, window_s=window_s,
-            backend=backend, workers=workers,
-        )
-        durations = np.concatenate(
-            [extract_bursts_from_trace(trace).durations_ns for trace in traces]
-        )
+        durations = np.concatenate(reduce_app_traces(
+            app, burst_durations, seed=seed, n_windows=n_windows,
+            window_s=window_s, backend=backend, workers=workers,
+        ))
         for rtt_us in (50, 100, 200):
             shorter = float((durations < us(rtt_us)).mean())
             result.add(
@@ -136,13 +135,10 @@ def run_lb(
         title="Sec 7: inter-burst gaps vs end-to-end latency (flowlet splits)",
     )
     for app in APPS:
-        traces = app_byte_traces(
-            app, seed=seed, n_windows=n_windows, window_s=window_s,
-            backend=backend, workers=workers,
-        )
-        gaps = np.concatenate(
-            [extract_bursts_from_trace(trace).gaps_ns for trace in traces]
-        )
+        gaps = np.concatenate(reduce_app_traces(
+            app, burst_gaps, seed=seed, n_windows=n_windows,
+            window_s=window_s, backend=backend, workers=workers,
+        ))
         for latency_us in (50, 100, 250):
             exceed = float((gaps > us(latency_us)).mean())
             result.add(

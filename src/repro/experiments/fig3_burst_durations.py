@@ -13,13 +13,19 @@ import numpy as np
 from repro.analysis.bursts import extract_bursts_from_trace
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.report import cdf_series
+from repro.core.samples import CounterTrace
 from repro.data.published import PAPER
 from repro.experiments.common import (
     APPS,
     ExperimentResult,
-    app_byte_traces,
+    reduce_app_traces,
 )
 from repro.units import to_us
+
+
+def burst_durations(trace: CounterTrace) -> np.ndarray:
+    """What fig3 keeps of a trace: its burst durations (ns)."""
+    return extract_bursts_from_trace(trace).durations_ns
 
 
 def run(
@@ -34,13 +40,10 @@ def run(
         title="CDF of microburst durations @ 25us",
     )
     for app in APPS:
-        traces = app_byte_traces(
-            app, seed=seed, n_windows=n_windows, window_s=window_s,
-            backend=backend, workers=workers,
-        )
-        durations = np.concatenate(
-            [extract_bursts_from_trace(trace).durations_ns for trace in traces]
-        )
+        durations = np.concatenate(reduce_app_traces(
+            app, burst_durations, seed=seed, n_windows=n_windows,
+            window_s=window_s, backend=backend, workers=workers,
+        ))
         cdf = EmpiricalCdf(durations.astype(np.float64))
         single = float((durations == 25_000).mean())
         micro = float((durations < 1_000_000).mean())

@@ -14,13 +14,19 @@ from repro.analysis.bursts import extract_bursts_from_trace
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.kstest import KS_MIN_SAMPLES, exponential_ks_test
 from repro.analysis.report import cdf_series
+from repro.core.samples import CounterTrace
 from repro.data.published import PAPER
 from repro.experiments.common import (
     APPS,
     ExperimentResult,
-    app_byte_traces,
+    reduce_app_traces,
 )
 from repro.units import to_us
+
+
+def burst_gaps(trace: CounterTrace) -> np.ndarray:
+    """What fig4 keeps of a trace: its inter-burst gaps (ns)."""
+    return extract_bursts_from_trace(trace).gaps_ns
 
 
 def run(
@@ -35,13 +41,10 @@ def run(
         title="CDF of inter-burst periods @ 25us + Poisson rejection",
     )
     for app in APPS:
-        traces = app_byte_traces(
-            app, seed=seed, n_windows=n_windows, window_s=window_s,
-            backend=backend, workers=workers,
-        )
-        gaps = np.concatenate(
-            [extract_bursts_from_trace(trace).gaps_ns for trace in traces]
-        ).astype(np.float64)
+        gaps = np.concatenate(reduce_app_traces(
+            app, burst_gaps, seed=seed, n_windows=n_windows,
+            window_s=window_s, backend=backend, workers=workers,
+        )).astype(np.float64)
         paper_small = PAPER.fig4_small_gap_fraction.get(app)
         rows = [
             (

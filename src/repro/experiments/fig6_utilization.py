@@ -12,13 +12,18 @@ import numpy as np
 
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.report import cdf_series
+from repro.core.samples import CounterTrace
 from repro.data.published import PAPER
 from repro.experiments.common import (
     APPS,
     ExperimentResult,
-    app_byte_traces,
-    pooled_utilization,
+    reduce_app_traces,
 )
+
+
+def utilization(trace: CounterTrace) -> np.ndarray:
+    """What fig6 keeps of a trace: its per-interval utilization."""
+    return trace.utilization()
 
 
 def run(
@@ -33,11 +38,11 @@ def run(
         title="CDF of link utilization @ 25us",
     )
     for app in APPS:
-        # Pool without keeping the traces alive and clip in place: this
-        # loop holds the largest arrays of any single-port figure.
-        util = pooled_utilization(app_byte_traces(
-            app, seed=seed, n_windows=n_windows, window_s=window_s,
-            backend=backend, workers=workers,
+        # Pool and clip in place: this loop holds the largest arrays of
+        # any single-port figure.
+        util = np.concatenate(reduce_app_traces(
+            app, utilization, seed=seed, n_windows=n_windows,
+            window_s=window_s, backend=backend, workers=workers,
         ))
         np.clip(util, 0.0, 1.0, out=util)
         cdf = EmpiricalCdf(util)
@@ -61,4 +66,7 @@ def run(
             f"{(util > 0.4).mean():.4f}/{hot:.4f}/{(util > 0.6).mean():.4f}",
         )
         result.add_series(f"{app}_util_cdf", cdf_series(cdf))
+        # Free this app's pool and its sorted copy before the next app's
+        # collection, not after it.
+        del util, cdf
     return result

@@ -14,7 +14,7 @@ from repro.data.published import PAPER
 from repro.experiments.common import (
     APPS,
     ExperimentResult,
-    app_byte_traces,
+    reduce_app_traces,
 )
 
 
@@ -30,11 +30,11 @@ def run(
         title="Burst Markov transition matrices + likelihood ratios",
     )
     for app in APPS:
-        traces = app_byte_traces(
-            app, seed=seed, n_windows=n_windows, window_s=window_s,
-            backend=backend, workers=workers,
+        # Each window is kept as its hot mask, one byte per sample.
+        masks = reduce_app_traces(
+            app, trace_hot_mask, seed=seed, n_windows=n_windows,
+            window_s=window_s, backend=backend, workers=workers,
         )
-        masks = [trace_hot_mask(trace) for trace in traces]
         matrix = fit_pooled_transition_matrix(masks)
         paper = PAPER.table2[app]
         result.add(f"{app}: p(1|0)", paper.p01, round(matrix.p01, 4))

@@ -146,6 +146,38 @@ class TestRetryPolicy:
             ).run()
 
 
+def window_bytes(traces):
+    """A per-window reduction: bytes counted in the window (0 if it failed)."""
+    return sum(int(trace.deltas().sum()) for trace in traces.values())
+
+
+class TestReduction:
+    def test_each_window_is_replaced_by_its_reduction(self):
+        plan = make_plan()
+        retry = RetryPolicy(max_attempts=2, backoff_s=0)
+        full = MeasurementCampaign(plan, FlakySource({1: 99}), retry=retry).run()
+        reduced = MeasurementCampaign(
+            plan, FlakySource({1: 99}), retry=retry, reduce=window_bytes
+        ).run()
+        assert reduced.traces == [window_bytes(traces) for traces in full.traces]
+        assert reduced.traces[1] == 0  # the failed window reduces its empty dict
+        assert reduced.outcomes == full.outcomes
+
+    def test_checkpoint_keeps_traces_and_resume_reduces_what_it_loads(self, tmp_path):
+        plan = make_plan()
+        ckpt = tmp_path / "ckpt"
+        clean = MeasurementCampaign(plan, FlakySource()).run()
+        MeasurementCampaign(plan, FlakySource(), checkpoint_dir=ckpt, reduce=window_bytes).run()
+        source = FlakySource()
+        reloaded = MeasurementCampaign(plan, source, checkpoint_dir=ckpt).run(resume=True)
+        assert_same_traces(clean.traces, reloaded.traces)
+        resumed = MeasurementCampaign(
+            plan, source, checkpoint_dir=ckpt, reduce=window_bytes
+        ).run(resume=True)
+        assert source.calls == 0
+        assert resumed.traces == [window_bytes(traces) for traces in clean.traces]
+
+
 class TestResultAlignment:
     def test_misaligned_traces_rejected_not_zip_truncated(self):
         plan = make_plan(4)

@@ -29,13 +29,13 @@ EXPORT_SHA256 = {
 def collections(monkeypatch):
     """Count the campaigns ``export``/``compare`` run (one per call)."""
     calls = []
-    collect = export.app_byte_traces
+    collect = export.reduce_app_traces
 
     def counting(app, **kwargs):
         calls.append(app)
         return collect(app, **kwargs)
 
-    monkeypatch.setattr(export, "app_byte_traces", counting)
+    monkeypatch.setattr(export, "reduce_app_traces", counting)
     return calls
 
 
