@@ -63,9 +63,9 @@ class CounterTrace:
             raise AnalysisError(
                 f"{len(self.timestamps_ns)} timestamps vs {len(self.values)} values"
             )
-        if len(self.timestamps_ns) > 1:
-            if np.any(np.diff(self.timestamps_ns) <= 0):
-                raise AnalysisError("timestamps must be strictly increasing")
+        timestamps = self.timestamps_ns
+        if len(timestamps) > 1 and np.any(timestamps[1:] <= timestamps[:-1]):
+            raise AnalysisError("timestamps must be strictly increasing")
 
     # -- basic shape ----------------------------------------------------------
 
@@ -160,8 +160,12 @@ class CounterTrace:
         deltas = self.deltas()
         if deltas.ndim != 1:
             raise AnalysisError("rates_bps needs a scalar byte counter")
-        dt = self.interval_durations_ns()
-        return deltas * 8.0 * NS_PER_S / dt
+        # In place, in the order of ``deltas * 8.0 * NS_PER_S / dt``.
+        rates = deltas * 8.0
+        del deltas
+        rates *= NS_PER_S
+        rates /= self.interval_durations_ns()
+        return rates
 
     def utilization(self) -> np.ndarray:
         """Per-interval utilization in [0, ~1] (byte counters).
@@ -171,7 +175,9 @@ class CounterTrace:
         """
         if self.rate_bps <= 0:
             raise AnalysisError(f"trace {self.name!r} has no line rate set")
-        return self.rates_bps() / self.rate_bps
+        rates = self.rates_bps()
+        rates /= self.rate_bps
+        return rates
 
     def gauge_values(self) -> np.ndarray:
         if self.kind is not ValueKind.GAUGE:

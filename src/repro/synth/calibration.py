@@ -187,8 +187,8 @@ class ColdUtilModel:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n <= 0:
             return np.zeros(0)
-        base = rng.lognormal(math.log(self.median), self.sigma, size=n)
-        out = np.clip(base, 0.0, 0.495)
+        out = rng.lognormal(math.log(self.median), self.sigma, size=n)
+        np.clip(out, 0.0, 0.495, out=out)
         if self.bump_weight > 0:
             in_bump = rng.random(n) < self.bump_weight
             bump = rng.normal(self.bump_center, self.bump_width, size=int(in_bump.sum()))

@@ -196,10 +196,22 @@ def utilization_to_byte_trace(
     miss-free run.
     """
     utilization = np.asarray(utilization, dtype=np.float64)
-    bytes_per_tick = utilization * rate_bps * tick_ns / NS_PER_S / 8.0
-    cumulative = np.concatenate(([0.0], np.cumsum(bytes_per_tick)))
-    values = np.round(cumulative).astype(np.int64)
-    timestamps = start_ns + tick_ns * np.arange(len(values), dtype=np.int64)
+    # In place, one operation at a time in the order of
+    # ``utilization * rate_bps * tick_ns / NS_PER_S / 8.0``: the same
+    # bytes with fewer temporaries.
+    bytes_per_tick = utilization * rate_bps
+    bytes_per_tick *= tick_ns
+    bytes_per_tick /= NS_PER_S
+    bytes_per_tick /= 8.0
+    cumulative = np.empty(len(bytes_per_tick) + 1)
+    cumulative[0] = 0.0
+    np.cumsum(bytes_per_tick, out=cumulative[1:])
+    del bytes_per_tick
+    values = np.round(cumulative, out=cumulative).astype(np.int64)
+    del cumulative
+    timestamps = np.arange(len(values), dtype=np.int64)
+    timestamps *= tick_ns
+    timestamps += start_ns
     return CounterTrace(
         timestamps_ns=timestamps,
         values=values,
