@@ -83,7 +83,6 @@ class DctcpTransport(WindowedTransport):
         ack = Packet(
             flow=packet.flow.reversed(),
             size_bytes=self.ACK_SIZE,
-            created_ns=self.sim.now,
             seq=packet.seq,
             is_ack=True,
         )

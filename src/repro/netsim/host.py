@@ -189,12 +189,10 @@ class WindowedTransport:
         if state.inflight >= window or state.next_seq >= state.total_packets:
             return
         send = self.nic.send
-        now = self.sim.clock.now
         flow = state.flow
         size = state.packet_size
         while state.inflight < window and state.next_seq < state.total_packets:
-            packet = Packet(flow=flow, size_bytes=size, created_ns=now,
-                            seq=state.next_seq)
+            packet = Packet(flow=flow, size_bytes=size, seq=state.next_seq)
             state.next_seq += 1
             state.inflight += 1
             send(packet)
@@ -232,7 +230,6 @@ class WindowedTransport:
         ack = Packet(
             flow=packet.flow.reversed(),
             size_bytes=self.ACK_SIZE,
-            created_ns=self.sim.clock.now,
             seq=packet.seq,
             is_ack=True,
         )

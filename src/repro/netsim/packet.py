@@ -7,13 +7,10 @@ payloads.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.units import MAX_FRAME, MIN_PACKET
-
-_packet_ids = itertools.count()
 
 
 class FiveTuple(NamedTuple):
@@ -68,12 +65,10 @@ class Packet:
 
     flow: FiveTuple
     size_bytes: int
-    created_ns: int
     seq: int = 0
     is_ack: bool = False
     #: ECN Congestion Experienced mark (set by the switch, echoed on acks).
     ce: bool = False
-    packet_id: int = field(default_factory=_packet_ids.__next__)
 
     def __post_init__(self) -> None:
         # The frame bound is the largest ASIC histogram bin, not the MTU:

@@ -19,7 +19,7 @@ from repro.units import ms
 
 def packet(ce=False, seq=0):
     return Packet(
-        flow=FiveTuple("a", "b", 1, 2), size_bytes=1500, created_ns=0, seq=seq, ce=ce
+        flow=FiveTuple("a", "b", 1, 2), size_bytes=1500, seq=seq, ce=ce
     )
 
 
@@ -73,7 +73,6 @@ class TestDctcp:
         marked = Packet(
             flow=FiveTuple("x", server.name, 5, 6),
             size_bytes=1500,
-            created_ns=0,
             ce=True,
         )
         server.transport.handle_packet(marked, reply=echoed.append)
@@ -86,7 +85,7 @@ class TestDctcp:
         server = rack.servers[0]
         echoed = []
         clean = Packet(
-            flow=FiveTuple("x", server.name, 5, 6), size_bytes=1500, created_ns=0
+            flow=FiveTuple("x", server.name, 5, 6), size_bytes=1500
         )
         server.transport.handle_packet(clean, reply=echoed.append)
         assert not echoed[0].ce

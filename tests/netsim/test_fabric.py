@@ -11,7 +11,7 @@ from repro.units import gbps, ms
 
 def packet(src="a", dst="b", size=1500, seq=0):
     return Packet(
-        flow=FiveTuple(src, dst, 1, 2), size_bytes=size, created_ns=0, seq=seq
+        flow=FiveTuple(src, dst, 1, 2), size_bytes=size, seq=seq
     )
 
 

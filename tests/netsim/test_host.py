@@ -21,7 +21,7 @@ class TestNic:
 
         flow = FiveTuple("a", "b", 1, 2)
         for i in range(3):
-            nic.send(Packet(flow=flow, size_bytes=1500, created_ns=0, seq=i))
+            nic.send(Packet(flow=flow, size_bytes=1500, seq=i))
         sim.run_until(ms(1))
         # back-to-back at 1.2 us serialization each
         assert sent == [1200, 2400, 3600]

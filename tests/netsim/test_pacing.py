@@ -19,7 +19,7 @@ def make_nic(pacing=None):
 def burst(nic, n=4):
     flow = FiveTuple("a", "b", 1, 2)
     for seq in range(n):
-        nic.send(Packet(flow=flow, size_bytes=1500, created_ns=0, seq=seq))
+        nic.send(Packet(flow=flow, size_bytes=1500, seq=seq))
 
 
 class TestPacing:
@@ -53,9 +53,9 @@ class TestPacing:
     def test_idle_gap_resets_pacing_debt(self):
         sim, nic, arrivals = make_nic(pacing=gbps(2))
         flow = FiveTuple("a", "b", 1, 2)
-        nic.send(Packet(flow=flow, size_bytes=1500, created_ns=0))
+        nic.send(Packet(flow=flow, size_bytes=1500))
         sim.run_until(ms(1))
-        nic.send(Packet(flow=flow, size_bytes=1500, created_ns=0, seq=1))
+        nic.send(Packet(flow=flow, size_bytes=1500, seq=1))
         sim.run_until(ms(2))
         # the second packet, sent after a long idle period, is not delayed
         assert arrivals[1] == ms(1) + 1200

@@ -31,10 +31,10 @@ class TestPacket:
         # not the MTU: MTU policy is enforced by RackConfig / the
         # transport at construction time.
         with pytest.raises(ValueError):
-            Packet(flow=flow, size_bytes=MAX_FRAME + 1, created_ns=0)
+            Packet(flow=flow, size_bytes=MAX_FRAME + 1)
         with pytest.raises(ValueError):
-            Packet(flow=flow, size_bytes=32, created_ns=0)
-        assert Packet(flow=flow, size_bytes=MTU + 1, created_ns=0).size_bytes == MTU + 1
+            Packet(flow=flow, size_bytes=32)
+        assert Packet(flow=flow, size_bytes=MTU + 1).size_bytes == MTU + 1
 
     def test_reversed_memoised(self, flow):
         rev = flow.reversed()
@@ -44,11 +44,6 @@ class TestPacket:
         assert rev.reversed() == flow
         assert rev.reversed() is rev.reversed()
 
-    def test_unique_ids(self, flow):
-        a = Packet(flow=flow, size_bytes=100, created_ns=0)
-        b = Packet(flow=flow, size_bytes=100, created_ns=0)
-        assert a.packet_id != b.packet_id
-
 
 class TestLink:
     def test_serialization_plus_propagation(self, flow):
@@ -56,7 +51,7 @@ class TestLink:
         link = Link(sim, "l", rate_bps=gbps(10), propagation_ns=500)
         arrivals = []
         link.connect(lambda packet: arrivals.append(sim.now))
-        packet = Packet(flow=flow, size_bytes=1500, created_ns=0)
+        packet = Packet(flow=flow, size_bytes=1500)
         done = link.transmit(packet)
         assert done == 1200  # 1500 B at 10 Gbps
         sim.run_until(10_000)
@@ -66,7 +61,7 @@ class TestLink:
         sim = Simulator()
         link = Link(sim, "l", rate_bps=gbps(10))
         with pytest.raises(ConfigError):
-            link.transmit(Packet(flow=flow, size_bytes=100, created_ns=0))
+            link.transmit(Packet(flow=flow, size_bytes=100))
 
     def test_double_connect_fails(self):
         sim = Simulator()

@@ -26,7 +26,7 @@ def make_port(sim, capacity=1_000_000, rate=gbps(10)):
 
 def packet(size=1500, seq=0):
     flow = FiveTuple("a", "b", 1, 2)
-    return Packet(flow=flow, size_bytes=size, created_ns=0, seq=seq)
+    return Packet(flow=flow, size_bytes=size, seq=seq)
 
 
 class TestSizeBins:

@@ -60,13 +60,13 @@ class TestForwarding:
 
     def test_unknown_source_rejected(self, sim, small_rack):
         flow = FiveTuple("ghost", "t-s0", 1, 2)
-        packet = Packet(flow=flow, size_bytes=100, created_ns=0)
+        packet = Packet(flow=flow, size_bytes=100)
         with pytest.raises(SimulationError):
             small_rack.tor.receive_from_server("ghost", packet)
 
     def test_fabric_packet_for_unknown_host_rejected(self, sim, small_rack):
         flow = FiveTuple("t-r0", "nowhere", 1, 2)
-        packet = Packet(flow=flow, size_bytes=100, created_ns=0)
+        packet = Packet(flow=flow, size_bytes=100)
         with pytest.raises(SimulationError):
             small_rack.tor.receive_from_fabric(0, packet)
 
