@@ -7,8 +7,7 @@ The package has five layers:
   substrate the paper measured).
 * :mod:`repro.workloads` — Web / Cache / Hadoop application traffic.
 * :mod:`repro.core` — the paper's contribution: the high-resolution
-  counter-collection framework (sampler, ASIC timing, collector,
-  campaigns).
+  counter-collection framework (sampler, ASIC timing, campaigns).
 * :mod:`repro.synth` — campaign-scale calibrated trace synthesis.
 * :mod:`repro.analysis` — burst statistics and every figure's analysis.
 
@@ -61,7 +60,6 @@ from repro.netsim import (
 )
 from repro.core import (
     AsicTimingModel,
-    CollectorService,
     CounterTrace,
     HighResSampler,
     MeasurementCampaign,
@@ -110,7 +108,6 @@ __all__ = [
     "build_rack",
     # core
     "AsicTimingModel",
-    "CollectorService",
     "CounterTrace",
     "HighResSampler",
     "MeasurementCampaign",

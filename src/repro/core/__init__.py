@@ -3,7 +3,7 @@
 This is the paper's primary contribution: a polling framework that reads
 switch ASIC counters every 10s-to-100s of microseconds from the switch
 CPU, tolerating best-effort timing (missed intervals keep correct
-timestamps and cumulative values), batching samples to a collector.
+timestamps and cumulative values), and writing each counter's trace.
 
 The framework is hardware-agnostic: it polls anything exposing the
 counter-surface protocol — the packet-level simulator's
@@ -15,7 +15,6 @@ from repro.core.samples import CounterTrace, ValueKind
 from repro.core.counters import CounterBinding, CounterKind, CostClass, CounterSpec
 from repro.core.asic import AsicTimingModel, ReadCost
 from repro.core.sampler import HighResSampler, SamplerConfig, SamplerReport, TimingStats
-from repro.core.collector import CollectorService
 from repro.core.campaign import (
     CampaignPlan,
     CampaignResult,
@@ -27,7 +26,6 @@ from repro.core.campaign import (
 )
 from repro.core.parallel import ParallelCampaign, Shard, shard_plan
 from repro.core.seeding import site_rng, stable_site_key, window_rng
-from repro.core.streaming import StreamingBurstStats
 
 __all__ = [
     "CounterTrace",
@@ -42,7 +40,6 @@ __all__ = [
     "SamplerConfig",
     "SamplerReport",
     "TimingStats",
-    "CollectorService",
     "CampaignPlan",
     "CampaignResult",
     "CampaignWindow",
@@ -56,5 +53,4 @@ __all__ = [
     "site_rng",
     "stable_site_key",
     "window_rng",
-    "StreamingBurstStats",
 ]

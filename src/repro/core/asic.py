@@ -146,9 +146,6 @@ class AsicTimingModel:
         """
         if interval_ns <= 0:
             raise ConfigError("interval must be positive")
-        medians = sorted(
-            (self._cost(spec.cost_class).median_ns for spec in specs), reverse=True
-        )
         # lognormal mean = median * exp(sigma^2 / 2); sigma per class
         means = []
         for spec in specs:
@@ -156,5 +153,4 @@ class AsicTimingModel:
             means.append(cost.median_ns * math.exp(cost.sigma**2 / 2.0))
         means.sort(reverse=True)
         expected = means[0] + self.batch_factor * sum(means[1:])
-        del medians
         return min(1.0, expected / interval_ns)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.asic import AsicTimingModel
-from repro.core.collector import CollectorService
 from repro.core.counters import CounterBinding, validate_group
 from repro.core.samples import CounterTrace
 from repro.errors import ConfigError, SamplingError
@@ -90,6 +89,19 @@ class TimingStats:
             return 0.0
         return self.missed / self.scheduled
 
+    def account(self, latency_ns: int, interval_ns: int, instants_remaining: int) -> int:
+        """Tally one read issued with ``instants_remaining`` grid instants
+        left in the window; return how many instants the loop advances."""
+        self.taken += 1
+        if latency_ns <= interval_ns:
+            self.scheduled += 1
+            return 1
+        covered = overrun_covered_instants(latency_ns, interval_ns, instants_remaining)
+        self.scheduled += covered
+        self.missed += covered
+        self.overruns += 1
+        return -(-latency_ns // interval_ns)
+
     def publish(self) -> None:
         """Mirror this run's tallies into the telemetry registry."""
         registry = get_registry()
@@ -141,14 +153,11 @@ class HighResSampler:
         """Attach to a running simulation and poll for ``duration_ns``.
 
         This method schedules the polls and then runs the simulator to the
-        end of the window, interleaving polls with traffic; the samples
-        go through a fresh :class:`CollectorService`.
+        end of the window, interleaving polls with traffic; every completed
+        read appends its timestamp and each binding's value to the traces.
         """
         if duration_ns <= 0:
             raise ConfigError("duration must be positive")
-        collector = CollectorService()
-        for spec in self._specs:
-            collector.register(spec)
         stats = TimingStats()
         interval = self.config.interval_ns
         n_instants = duration_ns // interval
@@ -156,12 +165,16 @@ class HighResSampler:
             raise SamplingError("duration shorter than one sampling interval")
         start = sim.now
         end = start + duration_ns
+        timestamps: list[int] = []
+        columns: list[list] = [[] for _ in self.bindings]
+        reads = [binding.read for binding in self.bindings]
 
         def complete() -> None:
             # Recorded with the true completion timestamp and exact
             # cumulative value — bytes survive misses (Table 1).
-            for binding in self.bindings:
-                collector.record(binding.spec.name, sim.now, binding.read())
+            timestamps.append(sim.now)
+            for column, read in zip(columns, reads):
+                column.append(read())
 
         def poll(index: int) -> None:
             if index >= n_instants:
@@ -173,17 +186,7 @@ class HighResSampler:
             # Timing accounting happens at read initiation (it depends only
             # on the latency), so live and timing-only modes agree even when
             # the final read completes past the window end.
-            stats.taken += 1
-            if latency <= interval:
-                stats.scheduled += 1
-                next_index = index + 1
-            else:
-                covered = overrun_covered_instants(latency, interval, n_instants - index)
-                stats.scheduled += covered
-                stats.missed += covered
-                stats.overruns += 1
-                next_index = index + -(-latency // interval)
-
+            next_index = index + stats.account(latency, interval, n_instants - index)
             sim.schedule_at(tick_ns + latency, complete)
             if next_index < n_instants:
                 sim.schedule_at(start + next_index * interval, poll, next_index)
@@ -191,8 +194,18 @@ class HighResSampler:
         sim.schedule_at(start, poll, 0)
         sim.run_until(end)
         stats.publish()
+        traces = {
+            spec.name: CounterTrace(
+                timestamps_ns=np.asarray(timestamps, dtype=np.int64),
+                values=np.asarray(column),
+                kind=spec.value_kind,
+                name=spec.name,
+                rate_bps=spec.rate_bps,
+            )
+            for spec, column in zip(self._specs, columns)
+        }
         return SamplerReport(
-            traces=collector.finalize(),
+            traces=traces,
             timing=stats,
             cpu_utilization=self.config.timing.expected_cpu_utilization(
                 self._specs, interval
@@ -234,15 +247,6 @@ class HighResSampler:
                 cursor = 0
             latency = int(latencies[cursor])
             cursor += 1
-            stats.taken += 1
-            if latency <= interval:
-                stats.scheduled += 1
-                tick += 1
-            else:
-                covered = overrun_covered_instants(latency, interval, n_ticks - tick)
-                stats.scheduled += covered
-                stats.missed += covered
-                stats.overruns += 1
-                tick += -(-latency // interval)
+            tick += stats.account(latency, interval, n_ticks - tick)
         stats.publish()
         return stats

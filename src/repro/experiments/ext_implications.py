@@ -228,7 +228,6 @@ def run_failures(seed: int = 0, duration_s: float = 5.0) -> ExperimentResult:
         title="Sec 6.1: imbalance under failure-induced asymmetry",
     )
     fabric = ClosFabric()
-    fabric.validate()
     tor = fabric.tors[0]
     n_ticks = int(seconds(duration_s)) // BASE_TICK_NS
     synthesizer = RackSynthesizer("hadoop")
@@ -242,7 +241,7 @@ def run_failures(seed: int = 0, duration_s: float = 5.0) -> ExperimentResult:
         return float(np.median(series)) if len(series) else 0.0
 
     healthy = median_mad(fabric.uplink_capacity_factors(tor))
-    pod = fabric.graph.nodes[tor]["pod"]
+    pod = fabric.pod_of(tor)
     fabric.fail_link(tor, fabric.fabric_name(pod, 0))
     one_uplink_down = median_mad(fabric.uplink_capacity_factors(tor))
     fabric.restore_all()

@@ -20,7 +20,7 @@ from repro.netsim.switch import TorSwitch, TorSwitchConfig
 from repro.netsim.fabric import FabricCloud
 from repro.netsim.host import Nic, Server, WindowedTransport
 from repro.netsim.ecn import DctcpTransport, EcnConfig, EcnMarker
-from repro.netsim.clos import ClosConfig, ClosFabric
+from repro.netsim.clos import ClosFabric
 from repro.netsim.topology import Rack, RackConfig, build_rack
 from repro.netsim.tracing import SwitchCounterSurface
 
@@ -44,7 +44,6 @@ __all__ = [
     "DctcpTransport",
     "EcnConfig",
     "EcnMarker",
-    "ClosConfig",
     "ClosFabric",
     "Rack",
     "RackConfig",

@@ -63,8 +63,6 @@ class SharedBuffer:
         self._occupancy = 0
         self._peak_since_read = 0
         self._queue_bytes: dict[str, int] = {}
-        self.total_admitted = 0
-        self.total_rejected = 0
 
     # -- registration -------------------------------------------------------
 
@@ -87,18 +85,15 @@ class SharedBuffer:
             raise SimulationError(f"admit of non-positive size {size_bytes}")
         free = self._capacity - self._occupancy
         if size_bytes > free:
-            self.total_rejected += 1
             return False
         if self._static > 0:
             allowed = queue_len + size_bytes <= self._static
         else:
             allowed = queue_len < self._alpha * free
         if not allowed:
-            self.total_rejected += 1
             return False
         self._queue_bytes[queue_id] = queue_len + size_bytes
         self._occupancy += size_bytes
-        self.total_admitted += 1
         if self._occupancy > self._peak_since_read:
             self._peak_since_read = self._occupancy
         return True

@@ -3,99 +3,49 @@
 The measured data center "uses a conventional 3-tier Clos network"
 (Sec 4.2, citing the fabric design): servers -> ToR -> fabric switches ->
 spine switches, a multi-rooted tree with ToRs as leaves.  This module
-builds that topology as a graph, validates its structure, enumerates
-equal-cost paths, and computes the per-uplink capacity asymmetry caused
-by link failures — the condition under which "imbalance becomes
-significantly worse" (Sec 6.1), which the paper could not intercept in
-production but we can inject.
+holds that topology's links, takes links down, and computes the
+per-uplink capacity asymmetry the failures cause — the condition under
+which "imbalance becomes significantly worse" (Sec 6.1), which the paper
+could not intercept in production but we can inject.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 from repro.errors import ConfigError
-from repro.units import gbps
 
-if TYPE_CHECKING:
-    import networkx as nx
-
-
-@dataclass(frozen=True, slots=True)
-class ClosConfig:
-    """Fabric shape.
-
-    Defaults follow the paper's pod design scaled down: each ToR has
-    ``n_fabric_per_pod`` uplinks (one per fabric switch of its pod), and
-    each fabric switch reaches every spine of its plane.
-    """
-
-    n_pods: int = 4
-    n_racks_per_pod: int = 4
-    n_fabric_per_pod: int = 4
-    n_spines_per_plane: int = 4
-    tor_uplink_rate_bps: float = gbps(10)
-    fabric_spine_rate_bps: float = gbps(40)
-
-    def __post_init__(self) -> None:
-        if min(
-            self.n_pods,
-            self.n_racks_per_pod,
-            self.n_fabric_per_pod,
-            self.n_spines_per_plane,
-        ) <= 0:
-            raise ConfigError("all Clos dimensions must be positive")
+#: Fabric shape, the paper's pod design scaled down: each ToR has one
+#: uplink per fabric switch of its pod, and fabric switch ``f`` of every
+#: pod reaches every spine of plane ``f``.
+N_PODS = 4
+N_RACKS_PER_POD = 4
+N_FABRIC_PER_POD = 4
+N_SPINES_PER_PLANE = 4
 
 
 class ClosFabric:
-    """A multi-rooted Clos graph with failure injection.
+    """The links of a multi-rooted Clos fabric, with failure injection.
 
-    ``networkx`` is imported on construction, not with the module:
-    ``repro.netsim`` re-exports this class, and only ext-failures builds
-    one.
+    A link is the (unordered) pair of switch names it joins.
     """
 
-    def __init__(self, config: ClosConfig | None = None) -> None:
-        import networkx as nx
-
-        self.config = config or ClosConfig()
-        self.graph = nx.Graph()
-        self._build()
-        self._failed: set[tuple[str, str]] = set()
-
-    # -- construction ----------------------------------------------------------
-
-    def _build(self) -> None:
-        cfg = self.config
-        for pod in range(cfg.n_pods):
-            for rack in range(cfg.n_racks_per_pod):
-                self.graph.add_node(self.tor_name(pod, rack), tier="tor", pod=pod)
-            for fabric in range(cfg.n_fabric_per_pod):
-                self.graph.add_node(
-                    self.fabric_name(pod, fabric), tier="fabric", pod=pod
-                )
-        for plane in range(cfg.n_fabric_per_pod):
-            for spine in range(cfg.n_spines_per_plane):
-                self.graph.add_node(self.spine_name(plane, spine), tier="spine", plane=plane)
-        # ToR <-> every fabric switch in its pod (the four uplinks)
-        for pod in range(cfg.n_pods):
-            for rack in range(cfg.n_racks_per_pod):
-                for fabric in range(cfg.n_fabric_per_pod):
-                    self.graph.add_edge(
-                        self.tor_name(pod, rack),
-                        self.fabric_name(pod, fabric),
-                        rate_bps=cfg.tor_uplink_rate_bps,
+    def __init__(self) -> None:
+        self._pods = {
+            self.tor_name(pod, rack): pod
+            for pod in range(N_PODS)
+            for rack in range(N_RACKS_PER_POD)
+        }
+        links: set[frozenset[str]] = set()
+        for tor, pod in self._pods.items():
+            for fabric in range(N_FABRIC_PER_POD):
+                links.add(frozenset((tor, self.fabric_name(pod, fabric))))
+        for pod in range(N_PODS):
+            for fabric in range(N_FABRIC_PER_POD):
+                for spine in range(N_SPINES_PER_PLANE):
+                    links.add(
+                        frozenset((self.fabric_name(pod, fabric), self.spine_name(fabric, spine)))
                     )
-        # fabric switch f of every pod <-> every spine of plane f
-        for pod in range(cfg.n_pods):
-            for fabric in range(cfg.n_fabric_per_pod):
-                for spine in range(cfg.n_spines_per_plane):
-                    self.graph.add_edge(
-                        self.fabric_name(pod, fabric),
-                        self.spine_name(fabric, spine),
-                        rate_bps=cfg.fabric_spine_rate_bps,
-                    )
+        self._links = frozenset(links)
+        self._failed: set[frozenset[str]] = set()
 
     @staticmethod
     def tor_name(pod: int, rack: int) -> str:
@@ -109,68 +59,47 @@ class ClosFabric:
     def spine_name(plane: int, spine: int) -> str:
         return f"spine-l{plane}s{spine}"
 
-    # -- structure queries --------------------------------------------------------
-
     @property
     def tors(self) -> list[str]:
-        return [n for n, d in self.graph.nodes(data=True) if d["tier"] == "tor"]
+        """Every ToR, pod by pod."""
+        return list(self._pods)
 
-    def validate(self) -> None:
-        """Structural invariants of a healthy multi-rooted Clos."""
-        cfg = self.config
-        for tor in self.tors:
-            if self.graph.degree(tor) != cfg.n_fabric_per_pod:
-                raise ConfigError(f"{tor} has wrong uplink count")
-        for node, data in self.graph.nodes(data=True):
-            if data["tier"] == "fabric":
-                expected = cfg.n_racks_per_pod + cfg.n_spines_per_plane
-                if self.graph.degree(node) != expected:
-                    raise ConfigError(f"{node} has wrong degree")
-            elif data["tier"] == "spine":
-                if self.graph.degree(node) != cfg.n_pods:
-                    raise ConfigError(f"{node} has wrong degree")
-        import networkx as nx
-
-        if not nx.is_connected(self.graph):
-            raise ConfigError("fabric is not connected")
+    def pod_of(self, tor: str) -> int:
+        return self._pods[tor]
 
     # -- failures ------------------------------------------------------------------
 
     def fail_link(self, a: str, b: str) -> None:
         """Take one link down (order-insensitive)."""
-        if not self.graph.has_edge(a, b):
+        link = frozenset((a, b))
+        if link not in self._links:
             raise ConfigError(f"no link {a!r} <-> {b!r}")
-        self._failed.add(tuple(sorted((a, b))))
+        self._failed.add(link)
 
     def restore_all(self) -> None:
         self._failed.clear()
 
-    def _live_graph(self) -> nx.Graph:
-        live = self.graph.copy()
-        live.remove_edges_from(self._failed)
-        return live
+    def _up(self, a: str, b: str) -> bool:
+        return frozenset((a, b)) not in self._failed
 
     def uplink_capacity_factors(self, tor: str) -> list[float]:
         """Per-uplink usable-capacity factor in [0, 1] for one ToR.
 
-        Factor 0 means the uplink (or its fabric switch's entire spine
-        reachability) is down; fractional values mean the fabric switch
-        lost part of its spine plane.  These factors feed the synthetic
-        ECMP model for the failure-asymmetry experiment.
+        Factor 0 means the ToR–fabric link is down; otherwise the factor
+        is the fraction of the fabric switch's spine-plane links still up.
+        These factors feed the synthetic ECMP model for the
+        failure-asymmetry experiment.
         """
-        cfg = self.config
-        pod = self.graph.nodes[tor]["pod"]
-        live = self._live_graph()
+        pod = self.pod_of(tor)
         factors: list[float] = []
-        for fabric_index in range(cfg.n_fabric_per_pod):
-            fabric = self.fabric_name(pod, fabric_index)
-            if not live.has_edge(tor, fabric):
+        for plane in range(N_FABRIC_PER_POD):
+            fabric = self.fabric_name(pod, plane)
+            if not self._up(tor, fabric):
                 factors.append(0.0)
                 continue
             spine_links = sum(
-                1
-                for spine in range(cfg.n_spines_per_plane)
-                if live.has_edge(fabric, self.spine_name(fabric_index, spine))
+                self._up(fabric, self.spine_name(plane, spine))
+                for spine in range(N_SPINES_PER_PLANE)
             )
-            factors.append(spine_links / cfg.n_spines_per_plane)
+            factors.append(spine_links / N_SPINES_PER_PLANE)
         return factors

@@ -41,15 +41,12 @@ class _PacedQueue:
         self._queue: deque[Packet] = deque()
         self._backlog = 0
         self._busy = False
-        self.drops = 0
-        self.tx_bytes = 0
         # Serialization times memoised per distinct packet size, exactly
         # as in Link (same rounding, so timing is bit-identical).
         self._ser_cache: dict[int, int] = {}
 
     def offer(self, packet: Packet) -> bool:
         if self._backlog + packet.size_bytes > self.capacity_bytes:
-            self.drops += 1
             return False
         self._queue.append(packet)
         self._backlog += packet.size_bytes
@@ -65,7 +62,6 @@ class _PacedQueue:
         packet = self._queue.popleft()
         size = packet.size_bytes
         self._backlog -= size
-        self.tx_bytes += size
         cache = self._ser_cache
         ser = cache.get(size)
         if ser is None:

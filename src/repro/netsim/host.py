@@ -39,8 +39,6 @@ class FlowState:
     acked: int = 0
     inflight: int = 0
     started_ns: int = 0
-    completed_ns: int | None = None
-    retransmits: int = 0
     last_progress_ns: int = 0
     on_complete: FlowCallback | None = None
 
@@ -72,8 +70,6 @@ class Nic:
         self._queue: deque[Packet] = deque()
         self._busy = False
         self._pace_free_ns = 0
-        self.tx_bytes = 0
-        self.tx_packets = 0
 
     def send(self, packet: Packet) -> None:
         self._queue.append(packet)
@@ -93,8 +89,6 @@ class Nic:
             return
         packet = self._queue.popleft()
         done_ns = self.link.transmit(packet)
-        self.tx_bytes += packet.size_bytes
-        self.tx_packets += 1
         if pacing is not None:
             self._pace_free_ns = sim.clock.now + serialization_time_ns(
                 packet.size_bytes, pacing
@@ -133,8 +127,6 @@ class WindowedTransport:
         self.rto_ns = rto_ns
         self.mtu_bytes = mtu_bytes
         self._flows: dict[FiveTuple, FlowState] = {}
-        self.flows_started = 0
-        self.flows_completed = 0
         # Per-transport port counter: flow identity (and hence ECMP path
         # choice) must depend only on this simulation, not on how many
         # flows other simulations in the process created before it.
@@ -179,7 +171,6 @@ class WindowedTransport:
             on_complete=on_complete,
         )
         self._flows[flow] = state
-        self.flows_started += 1
         self._fill_window(state)
         self._arm_timer(state)
         return state
@@ -211,7 +202,6 @@ class WindowedTransport:
             state.cwnd = max(2.0, state.cwnd / 2.0)
             state.next_seq = state.acked
             state.inflight = 0
-            state.retransmits += 1
             state.last_progress_ns = self.sim.now
             self._fill_window(state)
         self._arm_timer(state)
@@ -256,8 +246,6 @@ class WindowedTransport:
             state.inflight = max(0, state.inflight - jump)
             state.last_progress_ns = now
         if state.done:
-            state.completed_ns = now
-            self.flows_completed += 1
             del self._flows[flow]
             if state.on_complete is not None:
                 state.on_complete(state)
@@ -292,7 +280,6 @@ class Server:
             sim, name, self.nic, rto_ns=rto_ns, mtu_bytes=mtu_bytes
         )
         self.rx_bytes = 0
-        self.rx_packets = 0
         self.on_data_packet: Callable[[Packet], None] | None = None
 
     def send_flow(
@@ -313,7 +300,6 @@ class Server:
                 f"server {self.name} received packet for {packet.flow.dst_host}"
             )
         self.rx_bytes += packet.size_bytes
-        self.rx_packets += 1
         self.transport.handle_packet(packet, reply=self.nic.send)
         if not packet.is_ack and self.on_data_packet is not None:
             self.on_data_packet(packet)

@@ -74,19 +74,15 @@ class PortCounters:
 
     tx_bytes: int = 0
     rx_bytes: int = 0
-    tx_packets: int = 0
-    rx_packets: int = 0
     tx_drops: int = 0
     tx_size_hist: list[int] = field(default_factory=lambda: [0] * len(SIZE_BIN_EDGES))
 
     def record_tx(self, packet: Packet) -> None:
         self.tx_bytes += packet.size_bytes
-        self.tx_packets += 1
         self.tx_size_hist[size_bin_index(packet.size_bytes)] += 1
 
     def record_rx(self, packet: Packet) -> None:
         self.rx_bytes += packet.size_bytes
-        self.rx_packets += 1
 
 
 class Port:

@@ -16,8 +16,6 @@ class WorkloadStats:
 
     requests_issued: int = 0
     requests_completed: int = 0
-    responses_sent: int = 0
-    bytes_requested: int = 0
     extra: dict = field(default_factory=dict)
 
 

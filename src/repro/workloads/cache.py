@@ -34,7 +34,6 @@ class CacheConfig:
 
     batch_rate_per_s: float = 400.0
     group_size: int = 4
-    request_bytes: int = 256
     response: SizeDistribution = field(
         default_factory=lambda: LogNormalSizes(median_bytes=40_000, sigma=1.1)
     )
@@ -97,13 +96,11 @@ class CacheWorkload(Workload):
         for server_index in group:
             server = self.rack.servers[server_index]
             response_size = self.config.response.sample(self.rng)
-            self.stats.bytes_requested += response_size
             server.send_flow(
                 frontend.name,
                 response_size,
                 packet_size=self.packet_mix.data_packet_size(self.rng),
             )
-            self.stats.responses_sent += 1
         self.stats.requests_completed += 1
 
     def _coherency_round(self) -> None:

@@ -79,7 +79,6 @@ class HadoopWorkload(Workload):
         """One shuffle transfer from ``server`` to a random peer."""
         self.stats.requests_issued += 1
         size = self.config.transfer_size.sample(self.rng)
-        self.stats.bytes_requested += size
         go_local = (
             self.rng.random() < self.config.local_fraction
             and len(self.rack.servers) > 1

@@ -56,7 +56,6 @@ class PacketSizeModel:
     """Samples data-packet sizes from an application mixture."""
 
     def __init__(self, mix: PacketMix) -> None:
-        self.mix = mix
         total = sum(mix.weights)
         self._probs = np.asarray(mix.weights, dtype=np.float64) / total
         self._sizes = np.asarray(mix.sizes, dtype=np.int64)

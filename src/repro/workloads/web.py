@@ -34,7 +34,6 @@ class WebConfig:
 
     request_rate_per_s: float = 120.0
     fanout: int = 24
-    rpc_request_bytes: int = 1_000
     rpc_response: SizeDistribution = field(
         default_factory=lambda: LogNormalSizes(median_bytes=12_000, sigma=1.0)
     )
@@ -92,13 +91,11 @@ class WebWorkload(Workload):
                 server.send_flow(
                     user.name, page, packet_size=self.packet_mix.data_packet_size(self.rng)
                 )
-                self.stats.responses_sent += 1
                 self.stats.requests_completed += 1
 
         for index in remotes:
             remote = self.rack.remote_hosts[int(index)]
             response_size = self.config.rpc_response.sample(self.rng)
-            self.stats.bytes_requested += response_size
             # Request is small; model it as the response being triggered
             # after a one-way delay (request serialization is negligible).
             remote.send_flow(

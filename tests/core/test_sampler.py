@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import HighResSampler, SamplerConfig
 from repro.core.counters import CounterBinding, CounterKind, CounterSpec
-from repro.errors import ConfigError, SamplingError
+from repro.core.samples import ValueKind
+from repro.errors import ConfigError, CounterError, SamplingError
 from repro.netsim import Simulator
 from repro.units import ms, seconds, us
 
@@ -148,12 +149,65 @@ class ScriptedTiming:
         return 0.5
 
 
-def scripted_sampler(latencies, interval_ns=us(25)):
+def scripted_sampler(latencies, interval_ns=us(25), bindings=None):
     return HighResSampler(
         SamplerConfig(interval_ns=interval_ns, timing=ScriptedTiming(latencies)),
-        [byte_binding()],
+        bindings or [byte_binding()],
         rng=0,
     )
+
+
+def ramp(step, width=None):
+    """A read function returning ``0, step, 2 * step, ...`` (a tuple of
+    ``width`` bins when ``width`` is set)."""
+    reads = {"n": 0}
+
+    def read():
+        value = reads["n"] * step
+        reads["n"] += 1
+        return value if width is None else tuple(value + k for k in range(width))
+
+    return read
+
+
+class TestTraces:
+    """Each completed read lands in every binding's trace."""
+
+    def test_traces_built_with_values_and_kind(self):
+        sampler = scripted_sampler([us(25)], bindings=[byte_binding(read=ramp(100))])
+        report = sampler.run_in_sim(Simulator(seed=0), us(25) * 5)
+        trace = report.traces["p.tx_bytes"]
+        assert trace.name == "p.tx_bytes"
+        assert trace.kind is ValueKind.CUMULATIVE
+        assert trace.rate_bps == 10e9
+        assert list(trace.values) == [0, 100, 200, 300, 400]
+        assert trace.values.dtype == np.int64
+        assert list(trace.timestamps_ns) == [us(25) * k for k in range(1, 6)]
+
+    def test_gauge_trace_kind(self):
+        spec = CounterSpec("buf", CounterKind.PEAK_BUFFER)
+        sampler = scripted_sampler([us(25)], bindings=[CounterBinding(spec, ramp(123))])
+        report = sampler.run_in_sim(Simulator(seed=0), us(25) * 2)
+        assert report.traces["buf"].kind is ValueKind.GAUGE
+
+    def test_histogram_values_are_two_dimensional(self):
+        spec = CounterSpec("hist", CounterKind.PACKET_SIZE_HIST)
+        sampler = scripted_sampler([us(25)], bindings=[CounterBinding(spec, ramp(1, width=3))])
+        report = sampler.run_in_sim(Simulator(seed=0), us(25) * 2)
+        assert report.traces["hist"].values.shape == (2, 3)
+        assert report.traces["hist"].values.tolist() == [[0, 1, 2], [1, 2, 3]]
+
+    def test_sample_count_is_completed_reads(self):
+        bindings = [byte_binding(name="a.tx_bytes"), byte_binding(name="b.tx_bytes")]
+        sampler = scripted_sampler([us(10)], bindings=bindings)
+        report = sampler.run_in_sim(Simulator(seed=0), us(25) * 10)
+        assert report.timing.taken == 10
+        assert len(report.traces["a.tx_bytes"]) == len(report.traces["b.tx_bytes"]) == 10
+
+    def test_clean_trace_has_no_drop_marker(self):
+        # Sample loss is marked by the fault injector, never by the sampler.
+        report = scripted_sampler([us(25)]).run_in_sim(Simulator(seed=0), us(25) * 4)
+        assert "samples_dropped" not in report.traces["p.tx_bytes"].meta
 
 
 class TestEdgeCases:
@@ -207,6 +261,10 @@ class TestValidation:
     def test_empty_bindings_rejected(self):
         with pytest.raises(SamplingError):
             HighResSampler(SamplerConfig(), [])
+
+    def test_duplicate_counter_names_rejected(self):
+        with pytest.raises(CounterError):
+            HighResSampler(SamplerConfig(), [byte_binding(), byte_binding()])
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ConfigError):

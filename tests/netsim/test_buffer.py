@@ -25,7 +25,8 @@ class TestAdmission:
         assert buffer.admit("q1", 4000)
         # only 2000 free; DT still allows smaller packets
         assert not buffer.admit("q0", 3000)
-        assert buffer.total_rejected == 1
+        assert buffer.occupancy_bytes == 8000
+        assert buffer.queue_bytes("q0") == 4000
 
     def test_dynamic_threshold_blocks_hog_queue(self, buffer):
         # alpha=1: queue may grow while queue_len < free space.

@@ -1,61 +1,21 @@
 """Clos fabric topology tests."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import networkx as nx
 import pytest
 
 from repro.errors import ConfigError
-from repro.netsim import ClosConfig, ClosFabric
+from repro.netsim import ClosFabric
 
 
 @pytest.fixture
 def fabric():
-    return ClosFabric(ClosConfig())
+    return ClosFabric()
 
 
-class TestStructure:
-    def test_validates(self, fabric):
-        fabric.validate()
-
-    def test_node_counts(self, fabric):
-        cfg = fabric.config
-        tiers = {}
-        for _node, data in fabric.graph.nodes(data=True):
-            tiers[data["tier"]] = tiers.get(data["tier"], 0) + 1
-        assert tiers["tor"] == cfg.n_pods * cfg.n_racks_per_pod
-        assert tiers["fabric"] == cfg.n_pods * cfg.n_fabric_per_pod
-        assert tiers["spine"] == cfg.n_fabric_per_pod * cfg.n_spines_per_plane
-
-    def test_uplinks_per_tor(self, fabric):
-        for tor in fabric.tors:
-            assert fabric.graph.degree(tor) == 4
-
-    def test_bad_config(self):
-        with pytest.raises(ConfigError):
-            ClosConfig(n_pods=0)
-
-
-class TestPaths:
-    def test_same_pod_paths_via_fabric(self, fabric):
-        a = ClosFabric.tor_name(0, 0)
-        b = ClosFabric.tor_name(0, 1)
-        paths = list(nx.all_shortest_paths(fabric.graph, a, b))
-        # one 2-hop path per fabric switch of the pod
-        assert len(paths) == fabric.config.n_fabric_per_pod
-        assert all(len(p) == 3 for p in paths)
-
-    def test_cross_pod_paths_via_spines(self, fabric):
-        a = ClosFabric.tor_name(0, 0)
-        b = ClosFabric.tor_name(1, 0)
-        paths = list(nx.all_shortest_paths(fabric.graph, a, b))
-        # planes x spines-per-plane distinct 4-hop paths
-        expected = fabric.config.n_fabric_per_pod * fabric.config.n_spines_per_plane
-        assert len(paths) == expected
-        assert all(len(p) == 5 for p in paths)
+def test_tors_listed_pod_by_pod(fabric):
+    assert len(fabric.tors) == 16
+    assert fabric.tors[:2] == [ClosFabric.tor_name(0, 0), ClosFabric.tor_name(0, 1)]
+    assert [fabric.pod_of(tor) for tor in fabric.tors] == sorted(list(range(4)) * 4)
+    assert fabric.pod_of(ClosFabric.tor_name(2, 3)) == 2
 
 
 class TestFailures:
@@ -77,13 +37,10 @@ class TestFailures:
         assert factors[1] == pytest.approx(0.75)
         assert factors[0] == factors[2] == factors[3] == 1.0
 
-    def test_failure_reduces_paths(self, fabric):
-        a = ClosFabric.tor_name(0, 0)
-        b = ClosFabric.tor_name(1, 0)
-        before = len(list(nx.all_shortest_paths(fabric._live_graph(), a, b)))
-        fabric.fail_link(ClosFabric.fabric_name(0, 0), ClosFabric.spine_name(0, 0))
-        after = len(list(nx.all_shortest_paths(fabric._live_graph(), a, b)))
-        assert after == before - 1
+    def test_link_order_does_not_matter(self, fabric):
+        tor = ClosFabric.tor_name(1, 0)
+        fabric.fail_link(ClosFabric.fabric_name(1, 3), tor)
+        assert fabric.uplink_capacity_factors(tor) == [1.0, 1.0, 1.0, 0.0]
 
     def test_restore(self, fabric):
         tor = ClosFabric.tor_name(0, 0)
@@ -94,20 +51,11 @@ class TestFailures:
     def test_unknown_link_rejected(self, fabric):
         with pytest.raises(ConfigError):
             fabric.fail_link("tor-p0r0", "spine-l0s0")
+        with pytest.raises(ConfigError):  # fabric switch 1 reaches only plane 1
+            fabric.fail_link(ClosFabric.fabric_name(0, 1), ClosFabric.spine_name(2, 0))
 
     def test_bisection_drops_with_failures(self, fabric):
         tor = ClosFabric.tor_name(0, 0)
         before = sum(fabric.uplink_capacity_factors(tor))
         fabric.fail_link(tor, ClosFabric.fabric_name(0, 0))
         assert sum(fabric.uplink_capacity_factors(tor)) < before
-
-
-def test_importing_the_package_leaves_networkx_unloaded():
-    # Only ext-failures builds a ClosFabric; every other run skips the import.
-    src = Path(__file__).resolve().parents[2] / "src"
-    code = "import sys, repro, repro.experiments, repro.backends; print('networkx' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "False"

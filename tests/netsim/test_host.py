@@ -14,7 +14,7 @@ class TestNic:
         sim = Simulator()
         link = Link(sim, "nic", rate_bps=gbps(10), propagation_ns=0)
         sent = []
-        link.connect(lambda p: sent.append(sim.now))
+        link.connect(lambda p: sent.append((sim.now, p.size_bytes)))
         nic = Nic(sim, link)
         server = Server.__new__(Server)  # only need a flow source
         from repro.netsim.packet import FiveTuple, Packet
@@ -24,22 +24,22 @@ class TestNic:
             nic.send(Packet(flow=flow, size_bytes=1500, seq=i))
         sim.run_until(ms(1))
         # back-to-back at 1.2 us serialization each
-        assert sent == [1200, 2400, 3600]
-        assert nic.tx_packets == 3
-        assert nic.tx_bytes == 4500
+        assert [at for at, _ in sent] == [1200, 2400, 3600]
+        assert len(sent) == 3
+        assert sum(size for _, size in sent) == 4500
 
 
 class TestTransport:
     def test_flow_completes_and_callback_fires(self, sim, small_rack):
         done = []
         small_rack.servers[0].send_flow(
-            small_rack.servers[1].name, 50_000, on_complete=lambda f: done.append(f)
+            small_rack.servers[1].name, 50_000, on_complete=lambda f: done.append((sim.now, f))
         )
         sim.run_for(ms(20))
         assert len(done) == 1
-        state = done[0]
+        completed_ns, state = done[0]
         assert state.done
-        assert state.completed_ns is not None
+        assert 0 < completed_ns <= ms(20)
         assert state.acked == state.total_packets
 
     def test_received_bytes_match_flow_size(self, sim, small_rack):
@@ -92,7 +92,9 @@ class TestTransport:
         sim.run_for(ms(200))
         assert rack.tor.total_drops() > 0
         assert len(done) == len(rack.remote_hosts)
-        assert any(f.retransmits > 0 for f in done)
+        # More data reached the ToR than the flows hold: some was resent.
+        data_in = sum(port.counters.rx_bytes for port in rack.tor.uplink_ports)
+        assert data_in > len(rack.remote_hosts) * 150_000
 
     def test_flow_size_validation(self, sim, small_rack):
         with pytest.raises(ConfigError):
@@ -105,11 +107,12 @@ class TestTransport:
     def test_active_flow_accounting(self, sim, small_rack):
         transport = small_rack.servers[0].transport
         assert len(transport._flows) == 0
-        small_rack.servers[0].send_flow(small_rack.servers[1].name, 50_000)
+        done = []
+        small_rack.servers[0].send_flow(small_rack.servers[1].name, 50_000, on_complete=done.append)
         assert len(transport._flows) == 1
         sim.run_for(ms(20))
         assert len(transport._flows) == 0
-        assert transport.flows_started == transport.flows_completed == 1
+        assert len(done) == 1
 
     def test_app_data_hook(self, sim, small_rack):
         seen = []

@@ -77,7 +77,7 @@ class TestPortDataPath:
         assert port.enqueue(packet())
         assert not port.enqueue(packet())  # 3rd exceeds capacity
         assert port.counters.tx_drops == 1
-        assert shared.total_rejected == 1
+        assert shared.occupancy_bytes == 3000  # the buffer refused it
 
 
 class TestPortCounters:
@@ -88,7 +88,7 @@ class TestPortCounters:
         sim.run_until(1_000_000)
         counters = port.counters
         assert counters.tx_bytes == 1600
-        assert counters.tx_packets == 2
+        assert sum(counters.tx_size_hist) == 2
         assert counters.tx_size_hist[5] == 1  # 1500 B
         assert counters.tx_size_hist[1] == 1  # 100 B
 
@@ -101,7 +101,6 @@ class TestPortCounters:
         port, _, _ = make_port(sim)
         port.note_ingress(packet(size=200))
         assert port.counters.rx_bytes == 200
-        assert port.counters.rx_packets == 1
 
     def test_drops_not_counted_in_tx_bytes(self, sim):
         port, _, _ = make_port(sim, capacity=1500)

@@ -42,11 +42,15 @@ class TestReads:
         assert surface.read_rx_bytes("down0") >= 60_000
         assert surface.read_tx_drops("down0") == 0
 
-    def test_histograms_sum_to_packets(self, surface_with_traffic):
-        surface, rack = surface_with_traffic
-        hist = surface.read_tx_size_histogram("down1")
+    def test_histograms_sum_to_packets(self, sim, small_rack):
+        # Server 1 sends nothing, so every packet it receives is data.
+        delivered = []
+        small_rack.servers[1].on_data_packet = delivered.append
+        small_rack.servers[0].send_flow(small_rack.servers[1].name, 60_000)
+        sim.run_for(ms(20))
+        hist = SwitchCounterSurface(small_rack.tor).read_tx_size_histogram("down1")
         assert len(hist) == len(SIZE_BIN_EDGES)
-        assert sum(hist) == rack.tor.downlink_ports[1].counters.tx_packets
+        assert sum(hist) == len(delivered) == 40
 
     def test_peak_buffer_read_and_reset(self, surface_with_traffic):
         surface, _ = surface_with_traffic

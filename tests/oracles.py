@@ -1,8 +1,7 @@
 """Scalar reference oracles for the vectorized analysis and synth kernels.
 
 The analysis pipeline runs on numpy kernels (wrap-corrected deltas, gap
-masks, run-length and burst extraction, ECDF construction/evaluation,
-the streaming burst fold).  This module holds deliberately naive
+masks, run-length and burst extraction, ECDF construction/evaluation).  This module holds deliberately naive
 pure-Python versions of the same computations, kept as executable
 specifications.  The synthesizer's draw loops (ECMP link assignment,
 burst durations, correlated burst painting) are kept here in their
@@ -25,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.samples import CounterTrace, ValueKind
-from repro.core.streaming import StreamingBurstStats
 from repro.errors import AnalysisError, ConfigError
 from repro.synth.calibration import DurationModel, GapModel, PortProfile
 from repro.synth.onoff import OnOffGenerator
@@ -193,31 +191,6 @@ def gap_aware_core_segmented(
     gaps = np.concatenate([scalar_interior_run_lengths(m, False) * nominal for m in masks])
     pooled_mask = np.concatenate(masks)
     return durations, gaps, pooled_mask, len(segments), count_clipped_bursts(masks)
-
-
-# -- streaming burst statistics ----------------------------------------------------
-
-
-def scalar_streaming_update(stats: StreamingBurstStats, utilization: np.ndarray) -> None:
-    """Reference streaming fold: classify and count one sample at a time."""
-
-    def close_burst() -> None:
-        bucket = min(len(stats.duration_buckets) - 1, stats._current_run.bit_length() - 1)
-        stats.duration_buckets[bucket] += 1
-        stats.n_bursts += 1
-        stats._current_run = 0
-
-    for value in np.asarray(utilization, dtype=np.float64).tolist():
-        hot = value > stats.threshold
-        stats.n_samples += 1
-        if hot:
-            stats.n_hot += 1
-            stats._current_run += 1
-        elif stats._current_run:
-            close_burst()
-        if stats._previous_hot >= 0:
-            stats.transitions[stats._previous_hot][int(hot)] += 1
-        stats._previous_hot = int(hot)
 
 
 # -- empirical CDF ---------------------------------------------------------------

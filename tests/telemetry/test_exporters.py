@@ -36,10 +36,10 @@ class TestPrometheus:
         assert "repro_campaign_windows_ok_total 4" in text
 
     def test_gauge_exposition(self, registry):
-        registry.gauge("collector.queue_depth_high_water").set(17)
+        registry.gauge("netsim.peak_heap_size").set(17)
         text = to_prometheus(registry)
-        assert "# TYPE repro_collector_queue_depth_high_water gauge" in text
-        assert "repro_collector_queue_depth_high_water 17" in text
+        assert "# TYPE repro_netsim_peak_heap_size gauge" in text
+        assert "repro_netsim_peak_heap_size 17" in text
 
     def test_histogram_cumulative_buckets(self, registry):
         hist = registry.histogram("lat", bounds=(10, 100))

@@ -2,7 +2,6 @@
 
 * Serial and ``--workers 4`` campaigns report identical merged counters.
 * Traces are byte-identical with telemetry enabled and disabled.
-* Collector shipping counters surface through the registry.
 * Campaign/sampler/traceio/fault tallies reach the registry.
 """
 
@@ -20,18 +19,15 @@ from repro.core.campaign import (
     RetryPolicy,
     WindowStatus,
 )
-from repro.core.collector import CollectorService
 from repro.core.counters import CounterKind, CounterSpec
 from repro.core.parallel import ParallelCampaign
 from repro.core.sampler import HighResSampler, SamplerConfig
 from repro.core.samples import CounterTrace, ValueKind
 from repro.core.traceio import load_traces, save_traces
-from repro.errors import CollectionError, CounterError
+from repro.errors import CollectionError
 from repro.faults import FaultInjector, FaultPlan
 from repro.telemetry.metrics import MetricsRegistry, scoped_registry, set_enabled
 from repro.units import gbps, seconds, us
-
-SPEC = CounterSpec("p.tx_bytes", CounterKind.BYTE, rate_bps=gbps(10))
 
 
 def make_trace(n=4, name="p.tx_bytes"):
@@ -142,23 +138,6 @@ class TestNetsimTelemetry:
         for snapshot in snapshots:
             names = [name for kind in ("counters", "gauges", "histograms") for name in snapshot[kind]]
             assert not any("events_per_sec" in name for name in names)
-
-
-class TestCollectorTelemetry:
-    def test_plain_double_register_still_rejected(self):
-        collector = CollectorService()
-        collector.register(SPEC)
-        with pytest.raises(CounterError):
-            collector.register(SPEC)
-
-    def test_ship_counters(self, registry):
-        collector = CollectorService(batch_size=2)
-        collector.register(SPEC)
-        for i in range(4):
-            collector.record(SPEC.name, i, i)
-        snap = registry.snapshot()
-        assert snap["counters"]["collector.batches_shipped"] == 2
-        assert snap["counters"]["collector.bytes_shipped"] == 4 * 16
 
 
 class TestSamplerTelemetry:

@@ -27,9 +27,10 @@ imports ``heapq``, and nothing outside its ``Simulator`` reads the
 private ``_heap``, so no second scheduler path can grow beside it.
 
 Finally, ``src/`` holds only what production code uses: every module is
-reached from the CLI, and every function, class and method is referred to
+reached from the CLI, every function, class and method is referred to
 from ``src/``, ``examples/``, ``benchmarks/`` or ``perfbench/`` (tests and
-package re-exports do not count), unless an allowlist names the reason.
+package re-exports do not count), and every attribute or field is read
+there, unless an allowlist names the reason.
 """
 
 import ast
@@ -401,12 +402,7 @@ def test_queue_lint_allows_the_engine_its_own_heap():
 ENTRY_MODULES = ("repro.cli", "repro.__main__")
 
 #: Modules kept although the CLI does not reach them yet, with the reason.
-UNREACHED_ALLOWLIST = {
-    "repro.core.streaming": (
-        "StreamingBurstStats becomes the campaign's mergeable per-window "
-        "summary (ROADMAP item 9)"
-    ),
-}
+UNREACHED_ALLOWLIST: dict[str, str] = {}
 
 
 def _module_names(src: Path) -> dict[str, Path]:
@@ -561,10 +557,6 @@ def test_reachability_follows_re_exports_but_not_package_inits(tmp_path):
 #: benchmarks and the performance harness.  ``tests/`` does not count.
 CALLER_ROOTS = ("src", "examples", "benchmarks", "perfbench")
 
-_STREAMING = (
-    "the campaign's mergeable per-window burst summary, not wired in yet "
-    "(ROADMAP item 9)"
-)
 _BUFFER_WINDOW = (
     "the buffer-window protocol method fig10 moves onto when every window "
     "kind takes one collection path (ROADMAP item 3)"
@@ -573,11 +565,6 @@ _BUFFER_WINDOW = (
 #: Definitions kept although no production code refers to them, with the
 #: reason (qualified as ``module.Class.method``).
 UNCALLED_ALLOWLIST = {
-    "repro.core.streaming.StreamingBurstStats": _STREAMING,
-    "repro.core.streaming.StreamingBurstStats.merge": _STREAMING,
-    "repro.core.streaming.StreamingBurstStats.duration_quantile_ns": _STREAMING,
-    "repro.core.streaming.StreamingBurstStats.transition_matrix": _STREAMING,
-    "repro.core.streaming.StreamingBurstStats.memory_bytes": _STREAMING,
     "repro.backends.base.MeasurementBackend.sample_buffer_window": _BUFFER_WINDOW,
     "repro.backends.synth.SynthBackend.sample_buffer_window": _BUFFER_WINDOW,
     "repro.backends.netsim.NetsimBackend.sample_buffer_window": _BUFFER_WINDOW,
@@ -696,3 +683,137 @@ def test_definition_lint_ignores_inits_and_tests_but_follows_attributes(tmp_path
     (tests / "test_core.py").write_text("from repro.core import tested\ntested()\n")
     uncalled = _uncalled_definitions(src, [src, tests.parent / "examples"])
     assert uncalled == ["repro.cli.main", "repro.core.exported", "repro.core.tested"]
+
+
+# -- every src/ attribute is read in production --------------------------------------
+
+_PAPER_RECORD = (
+    "the paper's digitized record: data/published.py keeps every number the "
+    "paper states (DESIGN.md §2.6), read by the experiments or not"
+)
+
+#: Attributes and fields kept although no production code reads them, with
+#: the reason (qualified as ``module.Class.name``).
+UNREAD_ALLOWLIST = {
+    f"repro.data.published.PaperTargets.{name}": _PAPER_RECORD
+    for name in (
+        "fig4_gap_tail_ns",
+        "fig10_hadoop_standing_occupancy",
+        "campaign_window_s",
+        "campaign_total_windows",
+        "campaign_samples_per_window",
+        "server_link_gbps",
+        "tor_uplinks",
+        "oversubscription",
+        "drops_tor_to_server_share",
+    )
+}
+
+
+def _attribute_definitions(tree: ast.Module, module: str):
+    """``(qualified name, bare name)`` of every field a class body
+    declares and every ``self.<name>`` a class assigns."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for child in cls.body:
+            if isinstance(child, ast.AnnAssign) and isinstance(child.target, ast.Name):
+                yield f"{module}.{cls.name}.{child.target.id}", child.target.id
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if (
+                        isinstance(sub, ast.Attribute)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"
+                    ):
+                        yield f"{module}.{cls.name}.{sub.attr}", sub.attr
+
+
+def _attribute_reads(tree: ast.AST) -> set[str]:
+    """Bare names a file reads: every ``x.<name>`` not assigned to, and
+    every keyword argument (result records are built by keyword and
+    handed whole to their callers)."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            found.add(node.arg)
+    return found
+
+
+def _unread_attributes(src: Path, caller_roots: list[Path]) -> list[str]:
+    """Qualified names of ``src`` fields and ``self`` attributes no file
+    under ``caller_roots`` reads (matched by bare name)."""
+    reads: set[str] = set()
+    for root in caller_roots:
+        for path in sorted(root.rglob("*.py")):
+            reads |= _attribute_reads(ast.parse(path.read_text(), filename=str(path)))
+    unread = set()
+    for module, path in _module_names(src).items():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualified, name in _attribute_definitions(tree, module):
+            if name not in reads and not (name.startswith("__") and name.endswith("__")):
+                unread.add(qualified)
+    return sorted(unread)
+
+
+def _production_unread() -> list[str]:
+    repo = SRC.parent.parent
+    return _unread_attributes(SRC, [repo / root for root in CALLER_ROOTS])
+
+
+def test_every_src_attribute_is_read_in_production():
+    unread = [name for name in _production_unread() if name not in UNREAD_ALLOWLIST]
+    assert not unread, (
+        "every field and self attribute under src/repro must be read "
+        "somewhere in src/, examples/, benchmarks/ or perfbench/ (tests do "
+        "not count): state only a test reads is a side-channel tally; "
+        "delete these, or add an UNREAD_ALLOWLIST entry with its reason:\n"
+        + "\n".join(unread)
+    )
+
+
+def test_unread_allowlist_is_current():
+    assert all(UNREAD_ALLOWLIST.values())
+    assert set(UNREAD_ALLOWLIST) <= set(_production_unread())
+
+
+def test_attribute_lint_ignores_writes_and_tests(tmp_path):
+    src = _write_package(
+        tmp_path,
+        {
+            "__init__.py": "",
+            "cli.py": (
+                "from repro.core import Config, Engine\n"
+                "def main():\n"
+                "    return Engine(Config(rate=2)).run()\n"
+            ),
+            "core.py": (
+                "class Config:\n"
+                "    rate: int = 1\n"
+                "    unused: int = 0\n"
+                "class Engine:\n"
+                "    def __init__(self, config):\n"
+                "        self.config = config\n"
+                "        self.steps = 0\n"
+                "        self.ticks = 0\n"
+                "    def run(self):\n"
+                "        self.ticks += 1\n"
+                "        self.steps = self.config.rate\n"
+                "        return self.steps\n"
+            ),
+        },
+    )
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_core.py").write_text("def test(engine):\n    assert engine.ticks\n")
+    unread = _unread_attributes(src, [src, tmp_path / "examples"])
+    assert unread == ["repro.core.Config.unused", "repro.core.Engine.ticks"]

@@ -21,7 +21,9 @@ from repro.workloads import (
 from repro.workloads.packetsize import APP_PACKET_MIX, PacketSizeModel, PacketMix
 
 
-def run_workload(workload_class, config, duration_ns=ms(60), seed=11, **rack_kwargs):
+def run_workload(
+    workload_class, config, duration_ns=ms(60), seed=11, drain_ns=0, on_rack=None, **rack_kwargs
+):
     sim = Simulator(seed=seed)
     rack = build_rack(
         sim,
@@ -32,9 +34,11 @@ def run_workload(workload_class, config, duration_ns=ms(60), seed=11, **rack_kwa
             **rack_kwargs,
         ),
     )
+    if on_rack is not None:
+        on_rack(rack)
     workload = workload_class(rack, config, rng=seed)
     workload.install(until_ns=duration_ns)
-    sim.run_for(duration_ns)
+    sim.run_for(duration_ns + drain_ns)
     return rack, workload
 
 
@@ -48,11 +52,23 @@ class TestWeb:
         assert down_rx > up_tx
 
     def test_requests_complete_and_pages_ship(self):
+        # Remote hosts receive data only as pages from the rack's servers.
+        pages = set()
+
+        def watch_users(rack):
+            for remote in rack.remote_hosts:
+                remote.on_data_packet = lambda packet: pages.add(packet.flow)
+
         rack, workload = run_workload(
-            WebWorkload, WebConfig(request_rate_per_s=40, fanout=8)
+            WebWorkload,
+            WebConfig(request_rate_per_s=40, fanout=8),
+            drain_ns=ms(100),
+            on_rack=watch_users,
         )
+        servers = {server.name for server in rack.servers}
         assert workload.stats.requests_completed > 0
-        assert workload.stats.responses_sent == workload.stats.requests_completed
+        assert all(flow.src_host in servers for flow in pages)
+        assert len(pages) == workload.stats.requests_completed
 
     def test_needs_remote_hosts(self):
         sim = Simulator()
@@ -80,8 +96,8 @@ class TestCache:
         rack, workload = run_workload(
             CacheWorkload, CacheConfig(batch_rate_per_s=200, group_size=4)
         )
-        # per-server NIC bytes: members of the same group should be similar
-        sent = np.array([s.nic.tx_bytes for s in rack.servers])
+        # per-server bytes into the ToR: members of the same group should be similar
+        sent = np.array([p.counters.rx_bytes for p in rack.tor.downlink_ports])
         assert sent.sum() > 0
         groups = workload.groups
         assert all(len(g) <= 4 for g in groups)
