@@ -1,35 +1,21 @@
 """Benchmark harness helpers.
 
-Each benchmark regenerates one table/figure of the paper on the
-simulated substrate, prints the paper-vs-measured rows, and asserts the
-qualitative shape.  Run with::
+The benches time kernels, the packet simulator, sharded campaigns and
+telemetry overhead, and check the design choices in DESIGN.md.  The
+paper verdicts are not here: each experiment records its own checks,
+which ``repro <id> --seed 0`` prints.  Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Scale knobs default to a few seconds per experiment; set
+Scale knobs default to a few seconds per bench; set
 ``REPRO_BENCH_SCALE=full`` for campaign-scale runs (minutes each).
 """
 
 import os
 
-import pytest
-
 FULL = os.environ.get("REPRO_BENCH_SCALE", "small") == "full"
 
 
-@pytest.fixture
-def show(capsys):
-    """Print an experiment result outside pytest's capture."""
-
-    def _show(result):
-        with capsys.disabled():
-            print()
-            print(result.render())
-            print()
-
-    return _show
-
-
 def scaled(small: dict, full: dict) -> dict:
-    """Pick experiment kwargs by scale."""
+    """Pick bench kwargs by scale."""
     return full if FULL else small

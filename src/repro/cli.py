@@ -269,12 +269,12 @@ def _dispatch(args) -> int:
             print(f"wrote {path}")
         return 0
     if args.experiment == "validate":
-        from repro.synth.validation import calibration_scorecard, render_scorecard
+        from repro.synth.validation import calibration_scorecard
 
         n_ticks = 8_000_000 if args.scale == "full" else 2_000_000
-        results = calibration_scorecard(seed=args.seed, n_ticks=n_ticks)
-        print(render_scorecard(results))
-        return 0 if all(check.passed for check in results) else 1
+        result = calibration_scorecard(seed=args.seed, n_ticks=n_ticks)
+        print(result.render())
+        return 1 if result.failed_checks else 0
     if args.experiment == "compare":
         from repro.data.export import compare_directory
 

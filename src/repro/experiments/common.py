@@ -39,9 +39,18 @@ class ExperimentResult:
     rows: list[tuple[str, object, object]] = field(default_factory=list)
     series: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
+    checks: list[tuple[str, bool]] = field(default_factory=list)
 
     def add(self, metric: str, paper: object, measured: object) -> None:
         self.rows.append((metric, paper, measured))
+
+    def check(self, name: str, passed: object) -> None:
+        """Record one paper verdict: a named claim the rows meet or miss."""
+        self.checks.append((name, bool(passed)))
+
+    @property
+    def failed_checks(self) -> list[str]:
+        return [name for name, passed in self.checks if not passed]
 
     def add_series(self, name: str, points: list[tuple[float, float]]) -> None:
         self.series[name] = points
@@ -50,6 +59,11 @@ class ExperimentResult:
         parts = [
             format_comparison(self.rows, title=f"{self.experiment_id}: {self.title}")
         ]
+        for name, passed in self.checks:
+            parts.append(f"check: {'PASS' if passed else 'FAIL'}  {name}")
+        if self.checks:
+            n_passed = len(self.checks) - len(self.failed_checks)
+            parts.append(f"{n_passed}/{len(self.checks)} checks passed")
         for note in self.notes:
             parts.append(f"note: {note}")
         if include_series:
@@ -67,6 +81,7 @@ class ExperimentResult:
                 {"metric": metric, "paper": _jsonable(paper), "measured": _jsonable(measured)}
                 for metric, paper, measured in self.rows
             ],
+            "checks": [{"name": name, "passed": passed} for name, passed in self.checks],
             "notes": list(self.notes),
         }
         if include_series:

@@ -80,6 +80,10 @@ def _incast_drops(transport: str, seed: int) -> tuple[int, int]:
     return steady_drops, steady_peak
 
 
+#: a large share of web and cache microbursts end before one RTT (100us)
+_ONE_RTT_MIN = {"web": 0.8, "cache": 0.6}
+
+
 def run_cc(
     seed: int = 0,
     n_windows: int = 12,
@@ -97,15 +101,21 @@ def run_cc(
             window_s=window_s, backend=backend, workers=workers,
         ))
         for rtt_us in (50, 100, 200):
-            shorter = float((durations < us(rtt_us)).mean())
+            shorter = round(float((durations < us(rtt_us)).mean()), 3)
             result.add(
                 f"{app}: bursts over before 1 RTT ({rtt_us}us) elapses",
                 "large fraction (Sec 7)",
-                round(shorter, 3),
+                shorter,
             )
+            if rtt_us == 100 and app in _ONE_RTT_MIN:
+                result.check(
+                    f"{app} bursts over before 100us > {_ONE_RTT_MIN[app]:.1f}",
+                    shorter > _ONE_RTT_MIN[app],
+                )
     reno_drops, reno_peak = _incast_drops("reno", seed + 1)
     dctcp_drops, dctcp_peak = _incast_drops("dctcp", seed + 1)
     result.add("incast drops: reno -> dctcp", "ECN reduces loss", f"{reno_drops} -> {dctcp_drops}")
+    result.check("dctcp incast drops <= reno", dctcp_drops <= reno_drops)
     result.add(
         "incast peak buffer: reno -> dctcp",
         "ECN keeps queues shorter",
@@ -140,12 +150,14 @@ def run_lb(
             window_s=window_s, backend=backend, workers=workers,
         ))
         for latency_us in (50, 100, 250):
-            exceed = float((gaps > us(latency_us)).mean())
+            exceed = round(float((gaps > us(latency_us)).mean()), 3)
             result.add(
                 f"{app}: gaps exceeding {latency_us}us e2e latency",
                 "most (safe to re-split)" if latency_us <= 100 else "(tighter)",
-                round(exceed, 3),
+                exceed,
             )
+            if latency_us == 50:
+                result.check(f"{app} gaps over 50us > 0.4", exceed > 0.4)
     result.notes.append(
         "a gap longer than the e2e latency guarantees no reordering when "
         "the next burst takes a new path — the microflow-LB argument"
@@ -204,6 +216,7 @@ def run_pacing(seed: int = 0) -> ExperimentResult:
                f"{unpaced.hot_fraction:.4f} -> {paced.hot_fraction:.4f}")
     result.add("bursts: unpaced -> paced", "far fewer with pacing",
                f"{unpaced.n_bursts} -> {paced.n_bursts}")
+    result.check("paced bursts < a tenth of unpaced", paced.n_bursts < unpaced.n_bursts // 10)
     if unpaced.n_bursts:
         result.add(
             "p90 burst duration unpaced (us)",
@@ -263,9 +276,7 @@ def run_failures(seed: int = 0, duration_s: float = 5.0) -> ExperimentResult:
         "/".join(f"{f:.2f}" for f in partial),
     )
     result.add("half a spine plane down: median MAD", "worse than healthy", round(partial_mad, 3))
-    result.add(
-        "imbalance ordering holds",
-        "failure > healthy",
-        bool(one_uplink_down > healthy),
-    )
+    worse = bool(one_uplink_down > healthy)
+    result.add("imbalance ordering holds", "failure > healthy", worse)
+    result.check("one uplink down is less balanced than healthy", worse)
     return result

@@ -24,6 +24,10 @@ from repro.experiments.common import (
 from repro.units import to_us
 
 
+#: paper: ~40 % of web and cache inter-burst gaps are under 100us
+_SMALL_GAP_BANDS = {"web": (0.25, 0.55), "cache": (0.25, 0.60)}
+
+
 def burst_gaps(trace: CounterTrace) -> np.ndarray:
     """What fig4 keeps of a trace: its inter-burst gaps (ns)."""
     return extract_bursts_from_trace(trace).gaps_ns
@@ -64,13 +68,19 @@ def run(
             continue
         cdf = EmpiricalCdf(gaps)
         ks = exponential_ks_test(gaps)
-        measured = [
-            round(float(cdf(100_000.0)), 3),
-            round(to_us(int(cdf.p99)) / 1000.0, 2),
-            f"{ks.p_value:.2g} (stat {ks.statistic:.3f})",
-        ]
+        small = round(float(cdf(100_000.0)), 3)
+        p99_ms = round(to_us(int(cdf.p99)) / 1000.0, 2)
+        p_value = f"{ks.p_value:.2g}"
+        measured = [small, p99_ms, f"{p_value} (stat {ks.statistic:.3f})"]
         for (metric, paper), value in zip(rows, measured):
             result.add(metric, paper, value)
+        if app in _SMALL_GAP_BANDS:
+            low, high = _SMALL_GAP_BANDS[app]
+            result.check(f"{app} gaps<100us in [{low:.2f}, {high:.2f}]", low <= small <= high)
+        if app == "web":
+            # gap tails orders of magnitude above burst durations
+            result.check("web p99 gap > 5ms", p99_ms > 5.0)
+        result.check(f"{app} rejects Poisson", float(p_value) < 0.01)
         result.add_series(
             f"{app}_gap_cdf_us", [(x / 1000.0, f) for x, f in cdf_series(cdf)]
         )

@@ -12,6 +12,9 @@ from repro.analysis.packetsizes import split_histogram_by_burst
 from repro.data.published import PAPER
 from repro.experiments.common import APPS, ExperimentResult, histogram_window
 
+#: paper: web ~+60 %, cache ~+20 %, hadoop small (already all-MTU)
+_INCREASE_BANDS = {"web": (0.35, 1.0), "cache": (0.05, 0.40), "hadoop": (-0.05, 0.15)}
+
 
 def run(
     seed: int = 0,
@@ -22,6 +25,7 @@ def run(
         experiment_id="fig5",
         title="Packet sizes inside/outside bursts (100us periods)",
     )
+    increase = {}
     for app in APPS:
         traces = histogram_window(
             app, seed=seed, duration_s=duration_s, backend=backend, experiment="fig5"
@@ -49,19 +53,29 @@ def run(
             f"~{paper_increase:+.0%}",
             f"{split.large_packet_increase:+.1%}",
         )
+        # the increase as the row shows it, a percentage to one decimal
+        increase[app] = round(split.large_packet_increase * 100, 1) / 100
+        low, high = _INCREASE_BANDS[app]
+        result.check(
+            f"{app} large-packet increase in [{low:.2f}, {high:.2f}]",
+            low <= increase[app] <= high,
+        )
         if app == "hadoop":
+            mtu_share = round(split.large_fraction_inside, 3)
             result.add(
                 "hadoop: MTU-bin share (always large)",
                 f">= {PAPER.fig5_hadoop_mtu_share_min}",
-                round(split.large_fraction_inside, 3),
+                mtu_share,
             )
+            result.check("hadoop MTU-bin share >= 0.80", mtu_share >= 0.80)
         if app == "cache":
-            small_share = float(split.inside[:3].sum())
+            small_share = round(float(split.inside[:3].sum()), 3)
             result.add(
                 "cache: small packets still dominate inside bursts",
                 "> large share",
-                round(small_share, 3),
+                small_share,
             )
+            result.check("cache small-packet share inside bursts >= 0.50", small_share >= 0.50)
         result.add_series(
             f"{app}_hist_inside",
             [(float(i), float(v)) for i, v in enumerate(split.inside)],
@@ -70,6 +84,10 @@ def run(
             f"{app}_hist_outside",
             [(float(i), float(v)) for i, v in enumerate(split.outside)],
         )
+    result.check(
+        "increase ordering web > cache > hadoop",
+        increase["web"] > increase["cache"] > increase["hadoop"],
+    )
     result.notes.append(
         "bins follow ASIC RMON edges: 64, 65-127, 128-255, 256-511, "
         "512-1023, 1024-1518 bytes"

@@ -49,30 +49,32 @@ def run(
         else:
             within = overall
         if app == "web":
+            web_corr = round(overall, 3)
             result.add(
                 "web: mean pairwise correlation",
                 f"< {PAPER.fig8_web_corr_max} (almost none)",
-                round(overall, 3),
+                web_corr,
             )
+            # stateless, user-driven: almost no correlation
+            result.check("web |corr| < 0.10", abs(web_corr) < 0.10)
         elif app == "cache":
+            within_corr = round(within, 3)
+            across_corr = round((overall * (n_servers - 1) - within * (group_size - 1))
+                                / max(n_servers - group_size, 1), 3)
             result.add(
                 "cache: within-group correlation",
                 f"> {PAPER.fig8_cache_group_corr_min} (strong subsets)",
-                round(within, 3),
+                within_corr,
             )
-            result.add(
-                "cache: across-group correlation",
-                "low (subsets only)",
-                round((overall * (n_servers - 1) - within * (group_size - 1))
-                      / max(n_servers - group_size, 1), 3),
-            )
+            result.add("cache: across-group correlation", "low (subsets only)", across_corr)
+            # strong correlation within scatter-gather subsets only
+            result.check("cache within-group > 0.50", within_corr > 0.50)
+            result.check("cache |across-group| < 0.15", abs(across_corr) < 0.15)
         else:
             low, high = PAPER.fig8_hadoop_corr_range
-            result.add(
-                "hadoop: mean pairwise correlation",
-                f"{low}-{high} (modest)",
-                round(overall, 3),
-            )
+            hadoop_corr = round(overall, 3)
+            result.add("hadoop: mean pairwise correlation", f"{low}-{high} (modest)", hadoop_corr)
+            result.check("hadoop corr in (0.05, 0.45)", 0.05 < hadoop_corr < 0.45)
         result.add_series(
             f"{app}_corr_offdiag_hist",
             _offdiag_histogram(matrix),

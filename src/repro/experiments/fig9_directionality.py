@@ -40,19 +40,26 @@ def run(
             expectation = "< hadoop's 0.18 (even lower)"
         else:
             expectation = "> 0.5 (uplink-majority)"
-        result.add(f"{app}: uplink share of hot samples", expectation, round(share.uplink_share, 3))
+        uplink_share = round(share.uplink_share, 3)
+        result.add(f"{app}: uplink share of hot samples", expectation, uplink_share)
+        if app == "hadoop":
+            result.check("hadoop uplink share in [0.08, 0.30]", 0.08 <= uplink_share <= 0.30)
+        elif app == "web":
+            result.check("web uplink share < 0.10", uplink_share < 0.10)
+        else:
+            result.check("cache uplink share > 0.45", uplink_share > 0.45)
         result.add(
             f"{app}: hot samples (up/down)",
             "(counts)",
             f"{share.uplink_hot}/{share.downlink_hot}",
         )
-    result.add(
-        "web share < hadoop share < cache share ordering",
-        "holds (Fig 9)",
+    ordering = (
         shares["web"].uplink_share
         < shares["hadoop"].uplink_share
-        < shares["cache"].uplink_share,
+        < shares["cache"].uplink_share
     )
+    result.add("web share < hadoop share < cache share ordering", "holds (Fig 9)", ordering)
+    result.check("share ordering holds", ordering)
     result.notes.append(
         "web/hadoop bursts come from many-to-one fan-in toward servers; "
         "cache responses exceed requests so the 1:4-oversubscribed uplinks "

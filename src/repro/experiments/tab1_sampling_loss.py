@@ -33,16 +33,22 @@ def run(seed: int = 0, duration_s: float = 2.0) -> ExperimentResult:
         title="Sampling interval vs missed intervals (byte counter)",
     )
     duration = seconds(duration_s)
+    miss = {}
     for interval_ns, paper_miss in sorted(PAPER.tab1_miss_rates.items()):
         sampler = HighResSampler(
             SamplerConfig(interval_ns=interval_ns), [_byte_binding()], rng=seed
         )
         stats = sampler.simulate_timing(duration)
+        miss[interval_ns // 1000] = round(stats.miss_rate, 4)
         result.add(
             f"miss rate @ {interval_ns // 1000} us",
             paper_miss,
-            round(stats.miss_rate, 4),
+            miss[interval_ns // 1000],
         )
+    # paper: 1us -> 100 %, 10us -> ~10 %, 25us -> ~1 %
+    result.check("miss rate @ 1us >= 0.99", miss[1] >= 0.99)
+    result.check("miss rate @ 10us in [0.05, 0.18]", 0.05 <= miss[10] <= 0.18)
+    result.check("miss rate @ 25us in [0.003, 0.03]", 0.003 <= miss[25] <= 0.03)
 
     buffer_sampler = HighResSampler(
         SamplerConfig(interval_ns=PAPER.buffer_counter_interval_ns),

@@ -29,6 +29,7 @@ def run(
         experiment_id="tab2",
         title="Burst Markov transition matrices + likelihood ratios",
     )
+    ratios = {}
     for app in APPS:
         # Each window is kept as its hot mask, one byte per sample.
         masks = reduce_app_traces(
@@ -38,12 +39,16 @@ def run(
         matrix = fit_pooled_transition_matrix(masks)
         paper = PAPER.table2[app]
         result.add(f"{app}: p(1|0)", paper.p01, round(matrix.p01, 4))
-        result.add(f"{app}: p(1|1)", paper.p11, round(matrix.p11, 3))
-        result.add(
-            f"{app}: likelihood ratio r",
-            paper.likelihood_ratio,
-            round(matrix.likelihood_ratio, 1),
-        )
+        p11 = round(matrix.p11, 3)
+        ratios[app] = ratio = round(matrix.likelihood_ratio, 1)
+        result.add(f"{app}: p(1|1)", paper.p11, p11)
+        result.add(f"{app}: likelihood ratio r", paper.likelihood_ratio, ratio)
+        result.check(f"{app} p11 within 0.08", abs(p11 - paper.p11) < 0.08)
+        # far above the r ~ 1 of independent arrivals, and within ~2x of the paper
+        result.check(f"{app} r > 5", ratio > 5)
+        result.check(f"{app} r within 0.4-2.5x paper", 0.4 < ratio / paper.likelihood_ratio < 2.5)
+    # Eqs 1-3: r_web > r_cache > r_hadoop
+    result.check("r ordering web > cache > hadoop", ratios["web"] > ratios["cache"] > ratios["hadoop"])
     result.notes.append(
         "r >> 1 for every application: hot samples are strongly clumped, "
         "so bursts are not independent arrivals (Sec 5.1)"

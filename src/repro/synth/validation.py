@@ -2,43 +2,34 @@
 
 Computes, for each application, every per-port statistic the synthesiser
 is calibrated to (Table 2 probabilities and ratios, Fig 3 landmarks,
-hot-time fractions) and compares them against the published targets in
-one structured report.  Exposed on the CLI as ``repro validate``; the
-test suite asserts the same bands in ``tests/synth/test_validation.py``.
+hot-time fractions) and scores them against the published targets as an
+:class:`~repro.experiments.common.ExperimentResult`: one row and one
+check per statistic.  Exposed on the CLI as ``repro validate``, which
+exits 1 when a check fails.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.analysis import extract_bursts, fit_transition_matrix
 from repro.data.published import PAPER
+from repro.experiments.common import ExperimentResult
 from repro.synth.calibration import APP_PROFILES, BASE_TICK_NS
 from repro.synth.onoff import OnOffGenerator
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
-    """One scorecard row."""
+def calibration_scorecard(seed: int = 0, n_ticks: int = 2_000_000) -> ExperimentResult:
+    """Generate one long series per app and score it against the paper:
+    one row and one check per calibrated statistic."""
+    result = ExperimentResult(
+        experiment_id="validate", title="Calibration scorecard vs the paper"
+    )
 
-    app: str
-    metric: str
-    target: str
-    measured: float
-    passed: bool
+    def score(metric: str, target: str, measured: float, passed: bool) -> None:
+        result.add(metric, target, measured)
+        result.check(f"{metric} {target}", passed)
 
-
-def _within(value: float, low: float, high: float) -> bool:
-    return low <= value <= high
-
-
-def calibration_scorecard(
-    seed: int = 0, n_ticks: int = 2_000_000
-) -> list[CheckResult]:
-    """Generate one long series per app and score it against the paper."""
-    results: list[CheckResult] = []
     for app, profile in APP_PROFILES.items():
         rng = np.random.default_rng(seed)
         series = OnOffGenerator(profile.downlink).generate(n_ticks, rng)
@@ -47,56 +38,39 @@ def calibration_scorecard(
         paper = PAPER.table2[app]
 
         p90_target_ns = PAPER.fig3_p90_burst_duration_ns[app]
-        results.append(
-            CheckResult(
-                app=app,
-                metric="p90 burst duration (us)",
-                target=f"<= {p90_target_ns / 1000:.0f} (+1 period slack)",
-                measured=stats.p90_duration_ns / 1000.0,
-                passed=stats.p90_duration_ns <= p90_target_ns + BASE_TICK_NS,
-            )
+        score(
+            f"{app}: p90 burst duration (us)",
+            f"<= {p90_target_ns / 1000:.0f} (+1 period slack)",
+            stats.p90_duration_ns / 1000.0,
+            stats.p90_duration_ns <= p90_target_ns + BASE_TICK_NS,
         )
-        results.append(
-            CheckResult(
-                app=app,
-                metric="p(1|1)",
-                target=f"{paper.p11} +/- 0.08",
-                measured=matrix.p11,
-                passed=_within(matrix.p11, paper.p11 - 0.08, paper.p11 + 0.08),
-            )
+        score(
+            f"{app}: p(1|1)",
+            f"{paper.p11} +/- 0.08",
+            matrix.p11,
+            paper.p11 - 0.08 <= matrix.p11 <= paper.p11 + 0.08,
         )
-        results.append(
-            CheckResult(
-                app=app,
-                metric="likelihood ratio r",
-                target=f"{paper.likelihood_ratio} within 2.5x",
-                measured=matrix.likelihood_ratio,
-                passed=_within(
-                    matrix.likelihood_ratio,
-                    paper.likelihood_ratio / 2.5,
-                    paper.likelihood_ratio * 2.5,
-                ),
-            )
+        score(
+            f"{app}: likelihood ratio r",
+            f"{paper.likelihood_ratio} within 2.5x",
+            matrix.likelihood_ratio,
+            paper.likelihood_ratio / 2.5
+            <= matrix.likelihood_ratio
+            <= paper.likelihood_ratio * 2.5,
         )
         if app in PAPER.fig3_single_period_fraction_min:
             minimum = PAPER.fig3_single_period_fraction_min[app]
-            results.append(
-                CheckResult(
-                    app=app,
-                    metric="single-period burst share",
-                    target=f">= {minimum}",
-                    measured=stats.single_period_fraction,
-                    passed=stats.single_period_fraction >= minimum,
-                )
+            score(
+                f"{app}: single-period burst share",
+                f">= {minimum}",
+                stats.single_period_fraction,
+                stats.single_period_fraction >= minimum,
             )
-        results.append(
-            CheckResult(
-                app=app,
-                metric="microburst (<1ms) share",
-                target=f">= {PAPER.microburst_share_min}",
-                measured=stats.microburst_fraction,
-                passed=stats.microburst_fraction >= PAPER.microburst_share_min,
-            )
+        score(
+            f"{app}: microburst (<1ms) share",
+            f">= {PAPER.microburst_share_min}",
+            stats.microburst_fraction,
+            stats.microburst_fraction >= PAPER.microburst_share_min,
         )
     # cross-application orderings
     hot = {
@@ -105,28 +79,6 @@ def calibration_scorecard(
         .hot.mean()
         for app, profile in APP_PROFILES.items()
     }
-    results.append(
-        CheckResult(
-            app="all",
-            metric="hot-time ordering hadoop > cache > web",
-            target="holds",
-            measured=float(hot["hadoop"] > hot["cache"] > hot["web"]),
-            passed=bool(hot["hadoop"] > hot["cache"] > hot["web"]),
-        )
-    )
-    return results
-
-
-def render_scorecard(results: list[CheckResult]) -> str:
-    lines = [
-        f"{'app':>7}  {'metric':<34} {'target':<28} {'measured':>10}  ok",
-        "-" * 88,
-    ]
-    for check in results:
-        lines.append(
-            f"{check.app:>7}  {check.metric:<34} {check.target:<28} "
-            f"{check.measured:10.3f}  {'PASS' if check.passed else 'FAIL'}"
-        )
-    n_pass = sum(1 for check in results if check.passed)
-    lines.append(f"{n_pass}/{len(results)} checks passed")
-    return "\n".join(lines)
+    ordered = bool(hot["hadoop"] > hot["cache"] > hot["web"])
+    score("all: hot-time ordering hadoop > cache > web", "holds", ordered, ordered)
+    return result

@@ -44,6 +44,21 @@ class TestExperimentResult:
         payload = self.make().to_dict()
         assert "series" not in payload
 
+    def test_checks_are_named_booleans(self):
+        result = self.make()
+        result.check("a holds", np.float64(2.0) > 1.0)
+        result.check("b holds", False)
+        payload = json.loads(json.dumps(result.to_dict()))
+        assert payload["checks"] == [
+            {"name": "a holds", "passed": True},
+            {"name": "b holds", "passed": False},
+        ]
+        assert result.failed_checks == ["b holds"]
+        text = result.render()
+        assert "check: PASS  a holds" in text
+        assert "check: FAIL  b holds" in text
+        assert "1/2 checks passed" in text
+
 
 class TestScaleKwargs:
     def test_small_scale_is_defaults(self):
