@@ -1,8 +1,8 @@
 """Shared-buffer occupancy vs. concurrent bursts (Fig 10).
 
 Fig 10 is a boxplot of normalised peak buffer occupancy during 50 ms
-windows, grouped by how many ports were hot in that window.  We compute
-the box statistics (quartiles + whiskers) per hot-port count.
+windows, grouped by how many ports were hot in that window.  Fig 10's
+rows read each group's median and mean.
 """
 
 from __future__ import annotations
@@ -17,14 +17,9 @@ from repro.errors import AnalysisError
 
 @dataclass(frozen=True, slots=True)
 class BoxStats:
-    """Matplotlib-style box statistics for one group."""
+    """Centre of one group's box: its median and mean."""
 
-    n: int
-    whisker_low: float
-    q1: float
     median: float
-    q3: float
-    whisker_high: float
     mean: float
 
     @staticmethod
@@ -32,19 +27,7 @@ class BoxStats:
         samples = np.asarray(samples, dtype=np.float64)
         if len(samples) == 0:
             raise AnalysisError("box stats of empty group")
-        q1, median, q3 = np.percentile(samples, [25, 50, 75])
-        iqr = q3 - q1
-        in_low = samples[samples >= q1 - 1.5 * iqr]
-        in_high = samples[samples <= q3 + 1.5 * iqr]
-        return BoxStats(
-            n=len(samples),
-            whisker_low=float(in_low.min()),
-            q1=float(q1),
-            median=float(median),
-            q3=float(q3),
-            whisker_high=float(in_high.max()),
-            mean=float(samples.mean()),
-        )
+        return BoxStats(median=float(np.percentile(samples, 50)), mean=float(samples.mean()))
 
 
 def occupancy_by_hot_ports(

@@ -74,7 +74,6 @@ class BurstStats:
     """Summary of burst behaviour for one trace (one port, one window)."""
 
     n_bursts: int
-    n_samples: int
     interval_ns: int
     durations_ns: np.ndarray
     gaps_ns: np.ndarray
@@ -145,7 +144,6 @@ def _burst_runs(
 def _summarize(runs: _BurstRuns, interval_ns: int) -> BurstStats:
     return BurstStats(
         n_bursts=len(runs.durations_ns),
-        n_samples=len(runs.pooled_mask),
         interval_ns=interval_ns,
         durations_ns=runs.durations_ns,
         gaps_ns=runs.gaps_ns,

@@ -47,7 +47,22 @@ class EmpiricalCdf:
         """The q-th percentile (q in [0, 100])."""
         if not 0.0 <= q <= 100.0:
             raise AnalysisError(f"percentile {q} outside [0, 100]")
-        return float(np.percentile(self._sorted, q))
+        return float(self._percentiles(np.float64(q)))
+
+    def _percentiles(self, q: np.ndarray) -> np.ndarray:
+        """``np.percentile(self._sorted, q)`` (its default linear method),
+        read off the sorted sample: two index reads and one interpolation
+        per q, where ``np.percentile`` copies and partitions the sample."""
+        index = (self._n - 1) * (q / 100)
+        below = np.floor(index)
+        gamma = index - below
+        low = below.astype(np.intp)
+        high = np.minimum(low + 1, self._n - 1)
+        a = self._sorted[low]
+        b = self._sorted[high]
+        diff = b - a
+        # numpy's lerp: from the nearer end, so q = 100 lands on b exactly
+        return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
     @property
     def median(self) -> float:
@@ -70,8 +85,7 @@ class EmpiricalCdf:
         if n_points < 2:
             raise AnalysisError("grid needs at least two points")
         qs = np.linspace(0.0, 100.0, n_points)
-        xs = np.percentile(self._sorted, qs)
-        return xs, qs / 100.0
+        return self._percentiles(qs), qs / 100.0
 
     def ks_distance(self, other: "EmpiricalCdf") -> float:
         """Kolmogorov distance sup_x |F(x) - G(x)| between two ECDFs."""

@@ -27,8 +27,6 @@ class KsResult:
 
     statistic: float
     p_value: float
-    n: int
-    fitted_rate: float
 
 
 def kolmogorov_sf(x: float, terms: int = 100) -> float:
@@ -74,4 +72,4 @@ def exponential_ks_test(samples: np.ndarray) -> KsResult:
         max(np.max(empirical_hi - cdf), np.max(cdf - empirical_lo))
     )
     p_value = kolmogorov_sf(statistic * math.sqrt(n))
-    return KsResult(statistic=statistic, p_value=p_value, n=n, fitted_rate=rate)
+    return KsResult(statistic=statistic, p_value=p_value)

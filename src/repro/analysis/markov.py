@@ -19,15 +19,13 @@ from repro.errors import AnalysisError
 
 @dataclass(frozen=True, slots=True)
 class TransitionMatrix:
-    """MLE of a 2-state Markov chain.
-
-    ``p[a][b]`` = p(x_t = b | x_{t-1} = a), rows sum to 1 (when the
-    source state was observed at all).
+    """MLE of a 2-state Markov chain: ``p01`` = p(1|0) and ``p11`` =
+    p(1|1), the probability of a hot sample after a cold and after a hot
+    one.  Each row sums to 1, so these two fix the chain (NaN when the
+    source state was never observed).
     """
 
-    p00: float
     p01: float
-    p10: float
     p11: float
     counts: tuple[tuple[int, int], tuple[int, int]]
 
@@ -40,9 +38,7 @@ class TransitionMatrix:
         from1 = c10 + c11
         nan = float("nan")
         return cls(
-            p00=c00 / from0 if from0 else nan,
             p01=c01 / from0 if from0 else nan,
-            p10=c10 / from1 if from1 else nan,
             p11=c11 / from1 if from1 else nan,
             counts=((c00, c01), (c10, c11)),
         )

@@ -15,7 +15,6 @@ import numpy as np
 from repro.analysis.bursts import HOT_THRESHOLD, hot_mask
 from repro.core.samples import CounterTrace
 from repro.errors import AnalysisError
-from repro.netsim.port import SIZE_BIN_LABELS
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,9 +23,7 @@ class SizeHistogramSplit:
 
     inside: np.ndarray
     outside: np.ndarray
-    bin_labels: tuple[str, ...]
     n_hot_periods: int
-    n_cold_periods: int
 
     @property
     def large_fraction_inside(self) -> float:
@@ -50,7 +47,6 @@ def split_histogram_by_burst(
     byte_trace: CounterTrace,
     hist_trace: CounterTrace,
     threshold: float = HOT_THRESHOLD,
-    bin_labels: tuple[str, ...] = SIZE_BIN_LABELS,
 ) -> SizeHistogramSplit:
     """Split histogram increments by the hotness of each period.
 
@@ -78,7 +74,5 @@ def split_histogram_by_burst(
     return SizeHistogramSplit(
         inside=_normalise(inside_counts),
         outside=_normalise(outside_counts),
-        bin_labels=bin_labels,
         n_hot_periods=int(mask.sum()),
-        n_cold_periods=int((~mask).sum()),
     )

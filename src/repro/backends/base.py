@@ -59,10 +59,9 @@ def timed_window(backend_name: str) -> Iterator[None]:
     try:
         yield
     finally:
-        get_registry().histogram(
-            f"backend.{backend_name}.sample_window_ns",
-            "wall-clock latency of one window collection",
-        ).observe(time.monotonic_ns() - start_ns)
+        get_registry().histogram(f"backend.{backend_name}.sample_window_ns").observe(
+            time.monotonic_ns() - start_ns
+        )
 
 
 def default_port_names() -> list[str]:

@@ -202,15 +202,9 @@ class NetsimBackend:
         back into simulation state.
         """
         registry = get_registry()
-        registry.counter(
-            "netsim.events_processed", "simulation events run across windows"
-        ).inc(sim.events_processed)
-        registry.gauge(
-            "netsim.peak_heap_size", "largest event-heap footprint seen"
-        ).set_max(sim.peak_heap_size)
-        registry.counter(
-            "netsim.wall_ns", "host ns spent building and running windows"
-        ).inc(elapsed_ns)
+        registry.counter("netsim.events_processed").inc(sim.events_processed)
+        registry.gauge("netsim.peak_heap_size").set_max(sim.peak_heap_size)
+        registry.counter("netsim.wall_ns").inc(elapsed_ns)
 
     def _sample(
         self, window: CampaignWindow, make_bindings

@@ -143,7 +143,7 @@ class SynthBackend:
         counts = window_hot_port_counts(
             resample_utilization(util, period), min(periods_per_window, n_periods)
         )
-        model = BufferResponseModel.for_app(_profile(window.rack_type), n_ports=util.shape[1])
+        model = BufferResponseModel.for_app(_profile(window.rack_type))
         peaks = model.sample(counts, rng)
         scale = 1 << 20
         timestamps = window.start_ns + (1 + np.arange(len(counts), dtype=np.int64)) * (

@@ -321,9 +321,7 @@ class MeasurementCampaign:
             archive = self._trace_path(outcome.index)
             size = save_traces(archive, traces)
             trace_file = archive.name
-            get_registry().counter(
-                "campaign.checkpoint_bytes", "bytes persisted to window checkpoints"
-            ).inc(size)
+            get_registry().counter("campaign.checkpoint_bytes").inc(size)
         self._append_manifest(
             {
                 "index": outcome.index,
@@ -359,9 +357,7 @@ class MeasurementCampaign:
                     window.rack_id, window.hour, attempt, exc,
                 )
                 if attempt < retry.max_attempts:
-                    registry.counter(
-                        "campaign.window_retries", "window collection attempts retried"
-                    ).inc()
+                    registry.counter("campaign.window_retries").inc()
                     if delay > 0:
                         self._sleep(delay)
                     delay *= retry.backoff_factor
@@ -413,9 +409,7 @@ class MeasurementCampaign:
                     del done[index]
                     continue
             kept[index] = self._keep(loaded)
-        registry.counter(
-            "campaign.windows_resumed", "windows restored from checkpoint"
-        ).inc(len(done))
+        registry.counter("campaign.windows_resumed").inc(len(done))
         with span("campaign.run", n_windows=len(self.plan.windows), resumed=len(done)):
             for index, window in enumerate(self.plan.windows):
                 if index in done:
@@ -426,10 +420,7 @@ class MeasurementCampaign:
                 ) as window_span:
                     outcome, window_traces = self._run_window(index, window)
                     window_span.set_attr("status", outcome.status.value)
-                registry.counter(
-                    f"campaign.windows_{outcome.status.value}",
-                    "window collections by terminal status",
-                ).inc()
+                registry.counter(f"campaign.windows_{outcome.status.value}").inc()
                 outcomes.append(outcome)
                 self._checkpoint_window(outcome, window_traces)
                 kept[index] = self._keep(window_traces)

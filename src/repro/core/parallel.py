@@ -265,9 +265,7 @@ class ParallelCampaign:
         so any future order-sensitive consumer sees a stable sequence.
         """
         registry = get_registry()
-        registry.counter("parallel.shards_completed", "campaign shards merged").inc(
-            len(results)
-        )
+        registry.counter("parallel.shards_completed").inc(len(results))
         for shard_id in sorted(results):
             registry.merge_snapshot(results[shard_id][2])
 

@@ -105,17 +105,10 @@ class TimingStats:
     def publish(self) -> None:
         """Mirror this run's tallies into the telemetry registry."""
         registry = get_registry()
-        registry.counter(
-            "sampler.instants_scheduled", "sampling instants on the target grid"
-        ).inc(self.scheduled)
-        registry.counter("sampler.reads_taken", "counter reads issued").inc(self.taken)
-        registry.counter(
-            "sampler.instants_missed", "scheduled instants not met on time"
-        ).inc(self.missed)
-        registry.counter(
-            "sampler.read_overruns",
-            "reads whose latency overran the interval, covering instants",
-        ).inc(self.overruns)
+        registry.counter("sampler.instants_scheduled").inc(self.scheduled)
+        registry.counter("sampler.reads_taken").inc(self.taken)
+        registry.counter("sampler.instants_missed").inc(self.missed)
+        registry.counter("sampler.read_overruns").inc(self.overruns)
 
 
 @dataclass(slots=True)
@@ -124,7 +117,6 @@ class SamplerReport:
 
     traces: dict[str, CounterTrace]
     timing: TimingStats
-    cpu_utilization: float
 
 
 class HighResSampler:
@@ -204,13 +196,7 @@ class HighResSampler:
             )
             for spec, column in zip(self._specs, columns)
         }
-        return SamplerReport(
-            traces=traces,
-            timing=stats,
-            cpu_utilization=self.config.timing.expected_cpu_utilization(
-                self._specs, interval
-            ),
-        )
+        return SamplerReport(traces=traces, timing=stats)
 
     # -- timing-only mode ------------------------------------------------------------
 

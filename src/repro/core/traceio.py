@@ -135,10 +135,8 @@ def save_traces(path: str | Path, traces: dict[str, CounterTrace]) -> int:
     finally:
         tmp.unlink(missing_ok=True)
     registry = get_registry()
-    registry.counter("traceio.archives_written", "trace archives persisted").inc()
-    registry.counter(
-        "traceio.bytes_written", "compressed bytes written to trace archives"
-    ).inc(size)
+    registry.counter("traceio.archives_written").inc()
+    registry.counter("traceio.bytes_written").inc(size)
     return size
 
 
@@ -153,13 +151,9 @@ def _verify(prefix: str, archive, trace: CounterTrace, path: Path) -> None:
             f"{n_samples} — truncated or corrupted archive"
         )
     if _crc(trace.timestamps_ns) != ts_crc or _crc(trace.values) != val_crc:
-        get_registry().counter(
-            "traceio.crc_failures", "trace loads rejected on CRC mismatch"
-        ).inc()
+        get_registry().counter("traceio.crc_failures").inc()
         raise CorruptTraceError(f"{path}: CRC mismatch in trace {trace.name!r}")
-    get_registry().counter(
-        "traceio.crc_verified", "per-trace CRC integrity checks passed"
-    ).inc()
+    get_registry().counter("traceio.crc_verified").inc()
 
 
 def load_traces(path: str | Path) -> dict[str, CounterTrace]:

@@ -30,7 +30,7 @@ class FaultInjector:
 
     def _tally(self, kind: str, amount: int = 1) -> None:
         """Count one injection as ``faults.<kind>`` in the telemetry registry."""
-        get_registry().counter(f"faults.{kind}", "fault injections by kind").inc(amount)
+        get_registry().counter(f"faults.{kind}").inc(amount)
 
     # -- keyed randomness --------------------------------------------------------
 

@@ -14,7 +14,7 @@ from repro.netsim.engine import Simulator
 from repro.netsim.packet import FiveTuple, Packet
 from repro.netsim.buffer import BufferPolicy, SharedBuffer
 from repro.netsim.link import Link
-from repro.netsim.port import Direction, Port
+from repro.netsim.port import Port
 from repro.netsim.ecmp import EcmpHasher
 from repro.netsim.switch import TorSwitch, TorSwitchConfig
 from repro.netsim.fabric import FabricCloud
@@ -32,7 +32,6 @@ __all__ = [
     "BufferPolicy",
     "SharedBuffer",
     "Link",
-    "Direction",
     "Port",
     "EcmpHasher",
     "TorSwitch",

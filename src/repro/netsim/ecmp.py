@@ -38,7 +38,6 @@ class EcmpHasher:
         if mode not in ("flow", "packet"):
             raise ConfigError(f"unknown ECMP mode {mode!r}")
         self.n_uplinks = n_uplinks
-        self.mode = mode
         self.salt = salt
         self._packet_mode = mode == "packet"
         self._round_robin = itertools.count()

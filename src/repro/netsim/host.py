@@ -38,7 +38,6 @@ class FlowState:
     next_seq: int = 0
     acked: int = 0
     inflight: int = 0
-    started_ns: int = 0
     last_progress_ns: int = 0
     on_complete: FlowCallback | None = None
 
@@ -166,7 +165,6 @@ class WindowedTransport:
             total_packets=n_packets,
             packet_size=packet_size,
             cwnd=self.INITIAL_CWND,
-            started_ns=self.sim.now,
             last_progress_ns=self.sim.now,
             on_complete=on_complete,
         )

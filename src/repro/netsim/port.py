@@ -15,7 +15,6 @@ bytes (Table 1 semantics).
 from __future__ import annotations
 
 import bisect
-import enum
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -57,13 +56,6 @@ def size_bin_index(size_bytes: int) -> int:
     raise SimulationError(f"packet size {size_bytes} above largest bin")
 
 
-class Direction(enum.Enum):
-    """Which side of the ToR a port faces."""
-
-    DOWNLINK = "downlink"  # toward a server in the rack
-    UPLINK = "uplink"  # toward the fabric/spine
-
-
 @dataclass(slots=True)
 class PortCounters:
     """Cumulative ASIC counters for one port.
@@ -92,14 +84,12 @@ class Port:
         self,
         sim: Simulator,
         name: str,
-        direction: Direction,
         egress_link: Link,
         shared_buffer: SharedBuffer,
         ecn=None,
     ) -> None:
         self.sim = sim
         self.name = name
-        self.direction = direction
         self.egress_link = egress_link
         self.shared_buffer = shared_buffer
         #: optional :class:`repro.netsim.ecn.EcnMarker`

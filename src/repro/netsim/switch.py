@@ -18,7 +18,7 @@ from repro.netsim.ecn import EcnConfig, EcnMarker
 from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
 from repro.netsim.packet import Packet
-from repro.netsim.port import Direction, Port
+from repro.netsim.port import Port
 from repro.units import gbps
 
 
@@ -84,7 +84,6 @@ class TorSwitch:
         port = Port(
             self.sim,
             name=f"down{index}",
-            direction=Direction.DOWNLINK,
             egress_link=link,
             shared_buffer=self.shared_buffer,
             ecn=self._make_marker(),
@@ -108,7 +107,6 @@ class TorSwitch:
         port = Port(
             self.sim,
             name=f"up{index}",
-            direction=Direction.UPLINK,
             egress_link=link,
             shared_buffer=self.shared_buffer,
             ecn=self._make_marker(),

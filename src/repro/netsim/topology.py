@@ -70,7 +70,6 @@ class Rack:
     tor: TorSwitch
     servers: list[Server]
     remote_hosts: list[Server]
-    fabric: FabricCloud
 
     def host(self, name: str) -> Server:
         for server in self.servers + self.remote_hosts:
@@ -151,5 +150,4 @@ def build_rack(sim: Simulator, config: RackConfig | None = None) -> Rack:
         tor=tor,
         servers=servers,
         remote_hosts=remote_hosts,
-        fabric=fabric,
     )

@@ -13,22 +13,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigError
 from repro.synth.calibration import AppProfile, BufferResponse
 
 
 class BufferResponseModel:
     """Maps per-window hot-port counts to normalised peak occupancy."""
 
-    def __init__(self, response: BufferResponse, n_ports: int = 20) -> None:
-        if n_ports <= 0:
-            raise ConfigError("n_ports must be positive")
+    def __init__(self, response: BufferResponse) -> None:
         self.response = response
-        self.n_ports = n_ports
 
     @classmethod
-    def for_app(cls, profile: AppProfile, n_ports: int = 20) -> "BufferResponseModel":
-        return cls(profile.buffer, n_ports=n_ports)
+    def for_app(cls, profile: AppProfile) -> "BufferResponseModel":
+        return cls(profile.buffer)
 
     def mean_response(self, hot_ports: np.ndarray) -> np.ndarray:
         """Noise-free normalised occupancy for each hot-port count."""

@@ -58,11 +58,10 @@ DEFAULT_NS_BUCKETS: tuple[int, ...] = (
 class Counter:
     """A monotonic counter.  Merges across shards by summation."""
 
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
@@ -74,11 +73,10 @@ class Counter:
 class Gauge:
     """A high-water-mark gauge.  Merges across shards by max."""
 
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self.value = 0.0
 
     def set(self, value: float) -> None:
@@ -98,17 +96,14 @@ class Histogram:
     survives the bucketing.
     """
 
-    __slots__ = ("name", "help", "bounds", "counts", "inf_count", "sum", "count")
+    __slots__ = ("name", "bounds", "counts", "inf_count", "sum", "count")
 
-    def __init__(
-        self, name: str, help: str = "", bounds: tuple[int, ...] = DEFAULT_NS_BUCKETS
-    ) -> None:
+    def __init__(self, name: str, bounds: tuple[int, ...] = DEFAULT_NS_BUCKETS) -> None:
         if not bounds or list(bounds) != sorted(set(bounds)):
             raise TelemetryError(
                 f"histogram {name!r} needs strictly increasing bucket bounds"
             )
         self.name = name
-        self.help = help
         self.bounds = tuple(bounds)
         self.counts = [0] * len(bounds)
         self.inf_count = 0
@@ -165,14 +160,14 @@ class NullRegistry:
     code pays one function call and nothing else.
     """
 
-    def counter(self, name: str, help: str = "") -> _NullCounter:
+    def counter(self, name: str) -> _NullCounter:
         return _NULL_COUNTER
 
-    def gauge(self, name: str, help: str = "") -> _NullGauge:
+    def gauge(self, name: str) -> _NullGauge:
         return _NULL_GAUGE
 
     def histogram(
-        self, name: str, help: str = "", bounds: tuple[int, ...] = DEFAULT_NS_BUCKETS
+        self, name: str, bounds: tuple[int, ...] = DEFAULT_NS_BUCKETS
     ) -> _NullHistogram:
         return _NULL_HISTOGRAM
 
@@ -219,27 +214,25 @@ class MetricsRegistry:
                     f"cannot re-register as a {kind}"
                 )
 
-    def counter(self, name: str, help: str = "") -> Counter:
+    def counter(self, name: str) -> Counter:
         metric = self._counters.get(name)
         if metric is None:
             self._check_unique(name, "counter")
-            metric = self._counters[name] = Counter(name, help)
+            metric = self._counters[name] = Counter(name)
         return metric
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
+    def gauge(self, name: str) -> Gauge:
         metric = self._gauges.get(name)
         if metric is None:
             self._check_unique(name, "gauge")
-            metric = self._gauges[name] = Gauge(name, help)
+            metric = self._gauges[name] = Gauge(name)
         return metric
 
-    def histogram(
-        self, name: str, help: str = "", bounds: tuple[int, ...] = DEFAULT_NS_BUCKETS
-    ) -> Histogram:
+    def histogram(self, name: str, bounds: tuple[int, ...] = DEFAULT_NS_BUCKETS) -> Histogram:
         metric = self._histograms.get(name)
         if metric is None:
             self._check_unique(name, "histogram")
-            metric = self._histograms[name] = Histogram(name, help, bounds)
+            metric = self._histograms[name] = Histogram(name, bounds)
         elif metric.bounds != tuple(bounds):
             raise TelemetryError(
                 f"histogram {name!r} re-registered with different buckets "

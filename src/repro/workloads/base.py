@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ class WorkloadStats:
 
     requests_issued: int = 0
     requests_completed: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 class Workload(ABC):

@@ -65,7 +65,6 @@ class TestAggregates:
         util = np.array([0.1, 0.9, 0.9, 0.1, 0.7, 0.1, 0.1])
         stats = extract_bursts(util, TICK)
         assert stats.n_bursts == 2
-        assert stats.n_samples == 7
         assert list(stats.durations_ns) == [2 * TICK, TICK]
         assert list(stats.gaps_ns) == [TICK]
         assert stats.hot_fraction == pytest.approx(3 / 7)

@@ -25,7 +25,6 @@ class TestExponentialKs:
         rng = np.random.default_rng(0)
         result = exponential_ks_test(rng.exponential(2.0, 400))
         assert result.p_value > 0.05
-        assert result.fitted_rate == pytest.approx(0.5, rel=0.2)
 
     def test_heavy_tailed_data_rejected(self):
         """The paper's Fig 4 conclusion: lognormal-ish gaps are not

@@ -27,8 +27,9 @@ class TestMle:
         rng = np.random.default_rng(0)
         mask = rng.random(1000) < 0.3
         matrix = fit_transition_matrix(mask)
-        assert matrix.p00 + matrix.p01 == pytest.approx(1.0)
-        assert matrix.p10 + matrix.p11 == pytest.approx(1.0)
+        (c00, c01), (c10, c11) = matrix.counts
+        assert c00 / (c00 + c01) + matrix.p01 == pytest.approx(1.0)
+        assert c10 / (c10 + c11) + matrix.p11 == pytest.approx(1.0)
 
     def test_paper_formula(self):
         """MLE = count(a, b) / count(a) exactly (the paper's estimator)."""
@@ -67,7 +68,7 @@ class TestMle:
         mask = rng.random(500_000) < 0.2
         matrix = fit_transition_matrix(mask)
         # The fitted chain's stationary hot probability, p01 / (p01 + p10).
-        stationary = matrix.p01 / (matrix.p01 + matrix.p10)
+        stationary = matrix.p01 / (matrix.p01 + 1.0 - matrix.p11)
         assert stationary == pytest.approx(0.2, abs=0.01)
 
 

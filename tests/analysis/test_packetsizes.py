@@ -32,7 +32,6 @@ def test_split_by_regime():
     byte_trace, hist_trace = make_traces(bytes_per_tick, hists)
     split = split_histogram_by_burst(byte_trace, hist_trace)
     assert split.n_hot_periods == 1
-    assert split.n_cold_periods == 1
     assert split.inside[5] == pytest.approx(1.0)
     assert split.outside[0] == pytest.approx(1.0)
     assert split.large_fraction_inside == pytest.approx(1.0)

@@ -106,12 +106,6 @@ class TestLiveMode:
         trace = report.traces["p.tx_bytes"]
         assert trace.deltas().sum() == trace.values[-1] - trace.values[0]
 
-    def test_report_includes_cpu_utilization(self):
-        sim = Simulator(seed=1)
-        sampler = HighResSampler(SamplerConfig(interval_ns=us(25)), [byte_binding()], rng=2)
-        report = sampler.run_in_sim(sim, ms(1))
-        assert 0.0 < report.cpu_utilization <= 1.0
-
     def test_multi_counter_group_polled_together(self):
         sim = Simulator(seed=1)
         bindings = [
@@ -144,9 +138,6 @@ class ScriptedTiming:
 
     def group_read_latencies_ns(self, specs, n, rng, dedicated_core=True):
         return np.asarray(self._take(n), dtype=np.int64)
-
-    def expected_cpu_utilization(self, specs, interval_ns):
-        return 0.5
 
 
 def scripted_sampler(latencies, interval_ns=us(25), bindings=None):

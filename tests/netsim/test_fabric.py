@@ -73,9 +73,11 @@ class TestFabricCloudWiring:
         with pytest.raises(SimulationError):
             fabric.receive_from_tor(packet(dst="ghost"))
 
-    def test_unknown_destination_from_remote(self, sim, small_rack):
+    def test_unknown_destination_from_remote(self):
+        fabric = FabricCloud(Simulator(), n_uplinks=2, uplink_rate_bps=gbps(10))
+        fabric.connect_tor(["h0"], lambda i, p: None)
         with pytest.raises(SimulationError):
-            small_rack.fabric.receive_from_remote(packet(src="t-r0", dst="ghost"))
+            fabric.receive_from_remote(packet(src="r0", dst="ghost"))
 
     def test_ingress_spread_uses_independent_hash(self, sim, small_rack):
         """Fabric-side ECMP differs from the ToR's: the same flow may use

@@ -8,7 +8,6 @@ from repro.netsim.packet import FiveTuple, Packet
 from repro.netsim.port import (
     SIZE_BIN_EDGES,
     SIZE_BIN_LABELS,
-    Direction,
     Port,
     size_bin_index,
 )
@@ -20,7 +19,7 @@ def make_port(sim, capacity=1_000_000, rate=gbps(10)):
     link = Link(sim, "out", rate_bps=rate, propagation_ns=0)
     delivered = []
     link.connect(delivered.append)
-    port = Port(sim, "p0", Direction.DOWNLINK, link, shared)
+    port = Port(sim, "p0", link, shared)
     return port, delivered, shared
 
 

@@ -55,3 +55,22 @@ def test_ks_distance_is_metric_like(a, b):
     assert 0.0 <= d <= 1.0
     assert d == cdf_b.ks_distance(cdf_a)
     assert cdf_a.ks_distance(cdf_a) == 0.0
+
+
+#: -0.0 folded into 0.0: ``np.percentile`` partitions its input, which may
+#: reorder equal values of opposite sign and so flip the sign of a zero.
+unsigned_samples = samples.map(lambda data: data + 0.0)
+landmarks = st.sampled_from([0.0, 50.0, 90.0, 99.0, 100.0])
+
+
+@given(unsigned_samples, st.one_of(landmarks, st.floats(min_value=0.0, max_value=100.0)))
+def test_percentile_equals_numpy_bit_for_bit(data, q):
+    expected = np.float64(np.percentile(np.sort(data), q))
+    assert np.float64(EmpiricalCdf(data).percentile(q)).tobytes() == expected.tobytes()
+
+
+@given(unsigned_samples, st.integers(min_value=2, max_value=300))
+def test_grid_equals_numpy_bit_for_bit(data, n_points):
+    xs, _ = EmpiricalCdf(data).grid(n_points)
+    expected = np.percentile(np.sort(data), np.linspace(0.0, 100.0, n_points))
+    assert xs.tobytes() == expected.tobytes()

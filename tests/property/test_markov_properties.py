@@ -22,12 +22,12 @@ def test_rows_sum_to_one_when_defined(mask):
     matrix = fit_transition_matrix(mask)
     ((c00, c01), (c10, c11)) = matrix.counts
     if c00 + c01 > 0:
-        assert matrix.p00 + matrix.p01 == 1.0 or abs(matrix.p00 + matrix.p01 - 1) < 1e-12
+        assert abs(c00 / (c00 + c01) + matrix.p01 - 1) < 1e-12
         assert 0.0 <= matrix.p01 <= 1.0
     else:
         assert np.isnan(matrix.p01)
     if c10 + c11 > 0:
-        assert abs(matrix.p10 + matrix.p11 - 1) < 1e-12
+        assert abs(c10 / (c10 + c11) + matrix.p11 - 1) < 1e-12
     else:
         assert np.isnan(matrix.p11)
 

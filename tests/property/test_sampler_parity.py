@@ -39,9 +39,6 @@ class ScriptedTiming:
     def group_read_latencies_ns(self, specs, n, rng, dedicated_core=True):
         return np.asarray(self._take(n), dtype=np.int64)
 
-    def expected_cpu_utilization(self, specs, interval_ns):
-        return 0.5
-
 
 def make_sampler(latencies):
     spec = CounterSpec(name="p.tx_bytes", kind=CounterKind.BYTE, rate_bps=10e9)

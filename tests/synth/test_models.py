@@ -39,10 +39,7 @@ class TestBufferResponse:
         with pytest.raises(ConfigError):
             BufferResponse(base=0.1, scale=0.5, saturation_ports=0.0, noise_sigma=0.3)
         with pytest.raises(ConfigError):
-            BufferResponseModel(
-                BufferResponse(base=0.1, scale=0.5, saturation_ports=1.0, noise_sigma=0.3),
-                n_ports=0,
-            )
+            BufferResponse(base=-0.1, scale=0.5, saturation_ports=1.0, noise_sigma=0.3)
 
 
 class TestCoarseLinkPopulation:

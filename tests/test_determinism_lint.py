@@ -573,6 +573,12 @@ UNCALLED_ALLOWLIST = {
         "tests/property/test_buffer_properties.py check admission and "
         "release against the occupancy it reads"
     ),
+    "repro.data.published.Table2Entry.p00": (
+        "Table 2 prints p(0|0); the paper's digitized record keeps it next to p(1|0)"
+    ),
+    "repro.data.published.Table2Entry.p10": (
+        "Table 2 prints p(0|1); the paper's digitized record keeps it next to p(1|1)"
+    ),
 }
 
 
@@ -706,6 +712,8 @@ UNREAD_ALLOWLIST = {
         "tor_uplinks",
         "oversubscription",
         "drops_tor_to_server_share",
+        "campaign_hours",
+        "campaign_racks_per_app",
     )
 }
 
@@ -737,16 +745,13 @@ def _attribute_definitions(tree: ast.Module, module: str):
 
 
 def _attribute_reads(tree: ast.AST) -> set[str]:
-    """Bare names a file reads: every ``x.<name>`` not assigned to, and
-    every keyword argument (result records are built by keyword and
-    handed whole to their callers)."""
-    found: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-            found.add(node.attr)
-        elif isinstance(node, ast.keyword) and node.arg:
-            found.add(node.arg)
-    return found
+    """Bare names a file reads: every ``x.<name>`` not assigned to.  A
+    keyword argument only stores a value, so it is not a read."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)
+    }
 
 
 def _unread_attributes(src: Path, caller_roots: list[Path]) -> list[str]:
@@ -794,11 +799,12 @@ def test_attribute_lint_ignores_writes_and_tests(tmp_path):
             "cli.py": (
                 "from repro.core import Config, Engine\n"
                 "def main():\n"
-                "    return Engine(Config(rate=2)).run()\n"
+                "    return Engine(Config(rate=2, stored=3)).run()\n"
             ),
             "core.py": (
                 "class Config:\n"
                 "    rate: int = 1\n"
+                "    stored: int = 0\n"
                 "    unused: int = 0\n"
                 "class Engine:\n"
                 "    def __init__(self, config):\n"
@@ -816,4 +822,8 @@ def test_attribute_lint_ignores_writes_and_tests(tmp_path):
     tests.mkdir()
     (tests / "test_core.py").write_text("def test(engine):\n    assert engine.ticks\n")
     unread = _unread_attributes(src, [src, tmp_path / "examples"])
-    assert unread == ["repro.core.Config.unused", "repro.core.Engine.ticks"]
+    assert unread == [
+        "repro.core.Config.stored",
+        "repro.core.Config.unused",
+        "repro.core.Engine.ticks",
+    ]
