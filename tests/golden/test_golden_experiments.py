@@ -2,6 +2,12 @@
 
 import repin
 
+from repro.experiments import EXPERIMENTS
+
+
+def test_every_registered_experiment_is_pinned():
+    assert set(repin.SIZES) == set(EXPERIMENTS)
+
 
 def test_experiment_outputs_match_the_golden_manifest():
     changed = repin.moved(repin.load(), repin.compute())
