@@ -1,8 +1,8 @@
 """Experiment harness tests.
 
 Each experiment is run at reduced scale and its *qualitative* claims are
-asserted — the quantitative comparison lives in EXPERIMENTS.md and the
-benchmarks.  These tests pin the shape so regressions in the substrate
+asserted — the quantitative comparison lives in EXPERIMENTS.md and in
+each experiment's checks at its default size.  These tests pin the shape so regressions in the substrate
 or analysis surface immediately.
 """
 
