@@ -9,7 +9,9 @@ Examples
 
 Results go to stdout; progress and timing diagnostics go through the
 ``repro`` logger (stderr by default) — ``-v`` for debug detail, ``-q``
-for warnings only.
+for warnings only.  An experiment run exits 1 when any paper check
+fails, after every requested experiment has run, and names each miss on
+stderr as ``failed check: <experiment>: <check>``.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         help=(
             "experiment id (fig1..fig10, tab1, tab2, ext-*), 'all', 'list', "
-            "'validate' (calibration scorecard vs the paper), "
             "'export' (write release-format distributions), or "
-            "'compare' (diff a directory of distributions against us)"
+            "'compare' (diff a directory of distributions against us); "
+            "an experiment run exits 1 when any of its paper checks fails"
         ),
     )
     parser.add_argument("--seed", type=int, default=0, help="random seed")
@@ -268,13 +270,6 @@ def _dispatch(args) -> int:
         for path in paths:
             print(f"wrote {path}")
         return 0
-    if args.experiment == "validate":
-        from repro.synth.validation import calibration_scorecard
-
-        n_ticks = 8_000_000 if args.scale == "full" else 2_000_000
-        result = calibration_scorecard(seed=args.seed, n_ticks=n_ticks)
-        print(result.render())
-        return 1 if result.failed_checks else 0
     if args.experiment == "compare":
         from repro.data.export import compare_directory
 
@@ -293,6 +288,7 @@ def _dispatch(args) -> int:
         return 2
     targets = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     json_payload = []
+    failed = []
     if args.workers < 1:
         _log.error("--workers must be at least 1")
         return 2
@@ -323,12 +319,16 @@ def _dispatch(args) -> int:
         else:
             print(result.render(include_series=args.series))
             print()
+        failed += [f"{experiment_id}: {name}" for name in result.failed_checks]
         _log.info("%s completed in %.1fs", experiment_id, time.time() - start)
     if args.json:
         import json
 
         print(json.dumps(json_payload, indent=2))
-    return 0
+    # stderr, so that --json stdout stays one JSON document
+    for name in failed:
+        print(f"failed check: {name}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

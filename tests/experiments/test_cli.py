@@ -1,9 +1,14 @@
 """CLI tests."""
 
+import json
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.errors import ConfigError
+from repro.experiments import registry
+from repro.experiments.common import ExperimentResult
 
 
 def test_list_command(capsys):
@@ -81,3 +86,24 @@ def test_chaos_flags_parsed():
 def test_resume_without_checkpoint_rejected(capsys):
     assert main(["ext-chaos", "--resume"]) == 2
     assert "requires --checkpoint" in capsys.readouterr().err
+
+
+def _verdicts(experiment_id, *passed):
+    def runner(seed=0):
+        result = ExperimentResult(experiment_id=experiment_id, title="t")
+        for index, verdict in enumerate(passed):
+            result.check(f"claim {index}", verdict)
+        return result
+
+    return runner
+
+
+def test_failed_check_exits_1_after_every_experiment(monkeypatch, capsys):
+    experiments = {"fig1": _verdicts("fig1", True, False), "fig2": _verdicts("fig2", True)}
+    monkeypatch.setattr(registry, "EXPERIMENTS", experiments)
+    monkeypatch.setattr(cli, "EXPERIMENTS", experiments)
+    assert main(["all", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert [result["experiment_id"] for result in json.loads(captured.out)] == ["fig1", "fig2"]
+    failed = [line for line in captured.err.splitlines() if line.startswith("failed check")]
+    assert failed == ["failed check: fig1: claim 1"]

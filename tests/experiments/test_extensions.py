@@ -61,6 +61,16 @@ class TestExtNetsim:
             assert net_share > 0.5
             assert synth_share > 0.9
 
+    @pytest.mark.filterwarnings("error")
+    def test_burstless_netsim_window_reads_na(self):
+        # hadoop's netsim port holds no burst in 20 ms at seed 0
+        result = run_experiment("ext-netsim", seed=0, measure_ms=20.0)
+        for metric, _paper, measured in result.rows:
+            if metric.startswith("hadoop"):
+                net, synth = str(measured).split(" / ", 1)
+                assert net == "n/a (0 bursts)"
+                assert float(synth.split(" / ")[0]) > 0
+
 
 class TestExtChaos:
     @pytest.fixture(scope="class")
