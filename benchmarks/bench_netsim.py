@@ -11,7 +11,11 @@ backend scale.  Two numbers are reported and written as a CI artifact:
 
 The benchmark also re-checks the golden window CRC: a speedup that
 changes a single trace byte is a determinism break, not an optimisation
-(see ``tests/backends/test_backend_parity.py``).
+(see ``tests/backends/test_backend_parity.py``).  It pins the window's
+exact event count too, and reports the packets the ToR forwarded and the
+events spent per forwarded packet, the measure of the event chain's
+length.  Events get heavier as the chain gets shorter, so packets per
+second is reported beside the events/sec floor.
 
 The asserted floor is deliberately far below the reference machine's
 post-pass rate (~490k events/s, up from the 197k pre-pass baseline
@@ -52,6 +56,11 @@ MIN_EVENTS_PER_SEC = 120_000
 #: traces in sorted-name order) — pinned before the performance pass.
 PINNED_WINDOW_CRC = 0x5E144EF5
 
+#: Exact engine events of the window phase.  The run is deterministic, so
+#: any change to the per-packet event chain moves this count and must
+#: re-pin it in the commit that makes the change.
+PINNED_WINDOW_EVENTS = 76_501
+
 
 def _pinned_scale() -> NetsimScale:
     """The pre-pass default scale, pinned so the benchmark workload (and
@@ -80,6 +89,11 @@ def _traces_crc(traces) -> int:
     return crc
 
 
+def _forwarded_packets(surface) -> int:
+    """Packets every ToR port has sent so far (its egress histogram)."""
+    return sum(sum(surface.read_tx_size_histogram(port)) for port in surface.port_names)
+
+
 def _write_artifact(payload: dict) -> Path:
     directory = Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "benchmarks/artifacts"))
     directory.mkdir(parents=True, exist_ok=True)
@@ -99,6 +113,7 @@ def test_netsim_window_events_per_sec(benchmark):
         # exact code path sample_window uses.
         sim, surface = backend._build(window)
         events_before = sim.events_processed
+        forwarded_before = _forwarded_packets(surface)
         sampler = HighResSampler(
             SamplerConfig(interval_ns=backend.scale.interval_ns),
             [bind_tx_bytes(surface, "down0")],
@@ -107,14 +122,20 @@ def test_netsim_window_events_per_sec(benchmark):
         start = time.perf_counter()
         report = sampler.run_in_sim(sim, backend._duration_ns(window))
         wall_s = time.perf_counter() - start
-        return report, sim.events_processed - events_before, wall_s
+        forwarded = _forwarded_packets(surface) - forwarded_before
+        return report, sim.events_processed - events_before, forwarded, wall_s
 
-    report, events, wall_s = benchmark.pedantic(run, rounds=3, iterations=1)
+    report, events, forwarded, wall_s = benchmark.pedantic(run, rounds=3, iterations=1)
 
     crc = _traces_crc(report.traces)
     assert crc == PINNED_WINDOW_CRC, (
         f"netsim window traces changed (crc {crc:#x} != {PINNED_WINDOW_CRC:#x}): "
         "a faster engine that alters a single byte is a determinism break"
+    )
+
+    assert events == PINNED_WINDOW_EVENTS, (
+        f"window phase ran {events} events, pinned {PINNED_WINDOW_EVENTS}: "
+        "re-pin only in a commit that changes the event chain on purpose"
     )
 
     events_per_sec = events / wall_s
@@ -123,8 +144,11 @@ def test_netsim_window_events_per_sec(benchmark):
     payload = {
         "workload": "cache window, pinned 8-down/4-up scale, 20 ms window",
         "events": events,
+        "forwarded_packets": forwarded,
+        "events_per_forwarded_packet": round(events / forwarded, 2),
         "wall_s": round(wall_s, 4),
         "events_per_sec": round(events_per_sec),
+        "forwarded_packets_per_sec": round(forwarded / wall_s),
         "sim_ns_per_wall_s": round(sim_ns_per_wall_s),
         "recorded_baseline_events_per_sec": RECORDED_BASELINE_EVENTS_PER_SEC,
         "ratio_vs_recorded_baseline": round(
@@ -136,7 +160,9 @@ def test_netsim_window_events_per_sec(benchmark):
     path = _write_artifact(payload)
     print(f"\nnetsim bench: {payload['events_per_sec']:,} events/s "
           f"({payload['ratio_vs_recorded_baseline']}x recorded baseline), "
-          f"{payload['sim_ns_per_wall_s']:,} sim-ns/wall-s -> {path}")
+          f"{payload['sim_ns_per_wall_s']:,} sim-ns/wall-s, "
+          f"{payload['events_per_forwarded_packet']} events per forwarded packet "
+          f"({payload['forwarded_packets_per_sec']:,} packets/s) -> {path}")
 
     assert events_per_sec > MIN_EVENTS_PER_SEC
 

@@ -6,7 +6,8 @@ source of uplink ingress traffic whose spreading across the four uplinks
 mirrors the spine's own ECMP, and (c) a latency in the request/response
 path.  ``FabricCloud`` models exactly that: remote hosts attach to it
 directly, and per-uplink paced queues deliver fabric->ToR traffic at
-uplink line rate.
+uplink line rate.  The latency (c) lives in the delay of the links into
+the fabric (``build_rack``), so crossing it costs no event of its own.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.netsim.ecmp import EcmpHasher
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import Packet
-from repro.units import serialization_time_ns, us
+from repro.units import serialization_time_ns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.netsim.host import Server
@@ -82,54 +83,38 @@ class FabricCloud:
         sim: Simulator,
         n_uplinks: int,
         uplink_rate_bps: float,
-        latency_ns: int = us(25),
         uplink_queue_bytes: int = 2 * 1024 * 1024,
         ecmp_salt: int = 1,
     ) -> None:
-        if latency_ns < 0:
-            raise ConfigError("fabric latency cannot be negative")
         self.sim = sim
-        self.latency_ns = int(latency_ns)
+        self._uplink_rate_bps = uplink_rate_bps
+        self._uplink_queue_bytes = uplink_queue_bytes
         self._remote_hosts: dict[str, "Server"] = {}
-        self._tor_delivery: Callable[[int, Packet], None] | None = None
         self._rack_hosts: set[str] = set()
         # The spine's hash choice is independent of the ToR's, hence a
         # different salt: the same flow may use different uplinks in the
         # two directions, as in real Clos fabrics.
         self._ecmp = EcmpHasher(n_uplinks, mode="flow", salt=ecmp_salt)
-        self._to_tor = [
-            _PacedQueue(
-                sim,
-                uplink_rate_bps,
-                uplink_queue_bytes,
-                deliver=self._make_tor_deliver(i),
-            )
-            for i in range(n_uplinks)
-        ]
+        self._to_tor: list[_PacedQueue] = []
 
     # -- wiring ---------------------------------------------------------------
 
     def connect_tor(
-        self, rack_hosts: list[str], deliver: Callable[[int, Packet], None]
+        self, rack_hosts: list[str], ingress: list[Callable[[Packet], None]]
     ) -> None:
-        """Register the rack's ToR: its host list and ingress callback."""
-        if self._tor_delivery is not None:
+        """Register the rack's ToR: its host list and per-uplink ingress."""
+        if self._to_tor:
             raise ConfigError("fabric already connected to a ToR")
-        self._tor_delivery = deliver
         self._rack_hosts = set(rack_hosts)
+        self._to_tor = [
+            _PacedQueue(self.sim, self._uplink_rate_bps, self._uplink_queue_bytes, deliver)
+            for deliver in ingress
+        ]
 
     def attach_remote(self, server: "Server") -> None:
         if server.name in self._remote_hosts or server.name in self._rack_hosts:
             raise ConfigError(f"duplicate host name {server.name!r}")
         self._remote_hosts[server.name] = server
-
-    def _make_tor_deliver(self, uplink_index: int) -> Callable[[Packet], None]:
-        def deliver(packet: Packet) -> None:
-            if self._tor_delivery is None:
-                raise SimulationError("fabric delivering to unconnected ToR")
-            self._tor_delivery(uplink_index, packet)
-
-        return deliver
 
     # -- data path --------------------------------------------------------------
 
@@ -140,17 +125,14 @@ class FabricCloud:
             raise SimulationError(
                 f"fabric has no remote host {packet.flow.dst_host!r}"
             )
-        self.sim.schedule(self.latency_ns, host.receive, packet)
+        host.receive(packet)
 
     def receive_from_remote(self, packet: Packet) -> None:
         """A packet sent by a remote host."""
         dst = packet.flow.dst_host
         if dst in self._rack_hosts:
-            uplink = self._ecmp.choose(packet.flow)
-            queue = self._to_tor[uplink]
-            self.sim.schedule(self.latency_ns, queue.offer, packet)
+            self._to_tor[self._ecmp.choose(packet.flow)].offer(packet)
         elif dst in self._remote_hosts:
-            host = self._remote_hosts[dst]
-            self.sim.schedule(self.latency_ns, host.receive, packet)
+            self._remote_hosts[dst].receive(packet)
         else:
             raise SimulationError(f"fabric has no route to {dst!r}")

@@ -279,6 +279,7 @@ class Server:
         )
         self.rx_bytes = 0
         self.on_data_packet: Callable[[Packet], None] | None = None
+        self._reply = self.nic.send
 
     def send_flow(
         self,
@@ -298,6 +299,6 @@ class Server:
                 f"server {self.name} received packet for {packet.flow.dst_host}"
             )
         self.rx_bytes += packet.size_bytes
-        self.transport.handle_packet(packet, reply=self.nic.send)
+        self.transport.handle_packet(packet, self._reply)
         if not packet.is_ack and self.on_data_packet is not None:
             self.on_data_packet(packet)

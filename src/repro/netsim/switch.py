@@ -92,8 +92,8 @@ class TorSwitch:
         self._host_table[host_name] = index
         return port
 
-    def add_uplink(self, deliver: Callable[[Packet], None]) -> Port:
-        """Attach one uplink toward the fabric."""
+    def add_uplink(self, deliver: Callable[[Packet], None], propagation_ns: int) -> Port:
+        """Attach one uplink toward the fabric, ``propagation_ns`` away."""
         index = len(self.uplink_ports)
         if index >= self.config.n_uplinks:
             raise ConfigError("all uplink ports already in use")
@@ -101,7 +101,7 @@ class TorSwitch:
             self.sim,
             name=f"tor-up{index}",
             rate_bps=self.config.uplink_rate_bps,
-            propagation_ns=self.config.link_propagation_ns,
+            propagation_ns=propagation_ns,
         )
         link.connect(deliver)
         port = Port(
@@ -129,31 +129,40 @@ class TorSwitch:
 
     # -- data path --------------------------------------------------------------
 
-    def receive_from_server(self, host_name: str, packet: Packet) -> None:
-        """Ingress from a rack server's NIC."""
+    def downlink_ingress(self, host_name: str) -> Callable[[Packet], None]:
+        """Ingress from ``host_name``'s NIC, bound to its downlink port."""
         index = self._host_table.get(host_name)
         if index is None:
-            raise SimulationError(f"packet from unknown host {host_name!r}")
-        self.downlink_ports[index].note_ingress(packet)
-        self._forward(packet)
+            raise ConfigError(f"no downlink attached for host {host_name!r}")
+        note_ingress = self.downlink_ports[index].note_ingress
+        host_table, downlink_ports = self._host_table, self.downlink_ports
+        uplink_ports, choose_uplink = self.uplink_ports, self.ecmp.choose
 
-    def receive_from_fabric(self, uplink_index: int, packet: Packet) -> None:
-        """Ingress from the fabric on a specific uplink."""
-        self.uplink_ports[uplink_index].note_ingress(packet)
-        dst_index = self._host_table.get(packet.flow.dst_host)
-        if dst_index is None:
-            raise SimulationError(
-                f"fabric delivered packet for non-rack host {packet.flow.dst_host!r}"
-            )
-        self.downlink_ports[dst_index].enqueue(packet)
+        def ingress(packet: Packet) -> None:
+            note_ingress(packet)
+            dst_index = host_table.get(packet.flow.dst_host)
+            if dst_index is None:
+                uplink_ports[choose_uplink(packet.flow)].enqueue(packet)
+            else:
+                downlink_ports[dst_index].enqueue(packet)
 
-    def _forward(self, packet: Packet) -> None:
-        dst_index = self._host_table.get(packet.flow.dst_host)
-        if dst_index is not None:
-            self.downlink_ports[dst_index].enqueue(packet)
-            return
-        uplink = self.ecmp.choose(packet.flow)
-        self.uplink_ports[uplink].enqueue(packet)
+        return ingress
+
+    def uplink_ingress(self, uplink_index: int) -> Callable[[Packet], None]:
+        """Ingress from the fabric, bound to one uplink port."""
+        note_ingress = self.uplink_ports[uplink_index].note_ingress
+        host_table, downlink_ports = self._host_table, self.downlink_ports
+
+        def ingress(packet: Packet) -> None:
+            note_ingress(packet)
+            dst_index = host_table.get(packet.flow.dst_host)
+            if dst_index is None:
+                raise SimulationError(
+                    f"fabric delivered packet for non-rack host {packet.flow.dst_host!r}"
+                )
+            downlink_ports[dst_index].enqueue(packet)
+
+        return ingress
 
     # -- counters ----------------------------------------------------------------
 

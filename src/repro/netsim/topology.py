@@ -41,6 +41,8 @@ class RackConfig:
     def __post_init__(self) -> None:
         if self.n_remote_hosts < 0:
             raise ConfigError("remote host count cannot be negative")
+        if self.fabric_latency_ns < 0:
+            raise ConfigError("fabric latency cannot be negative")
         if self.transport not in ("reno", "dctcp"):
             raise ConfigError(f"unknown transport {self.transport!r}")
         if not MIN_PACKET <= self.mtu_bytes <= MAX_FRAME:
@@ -84,6 +86,11 @@ def build_rack(sim: Simulator, config: RackConfig | None = None) -> Rack:
     Server ``i`` is named ``{rack}-s{i}``; remote hosts are
     ``{rack}-r{i}``.  All links are full duplex (a pair of simplex
     :class:`~repro.netsim.link.Link` objects).
+
+    The links into the fabric (ToR uplinks, remote NICs) carry its
+    latency in their delay, so the fabric routes a packet on arrival.
+    Each server NIC link and fabric->ToR queue delivers into a ToR
+    ingress callable bound here, once per port.
     """
     config = config or RackConfig()
     tor = TorSwitch(sim, config.switch)
@@ -91,8 +98,8 @@ def build_rack(sim: Simulator, config: RackConfig | None = None) -> Rack:
         sim,
         n_uplinks=config.switch.n_uplinks,
         uplink_rate_bps=config.switch.uplink_rate_bps,
-        latency_ns=config.fabric_latency_ns,
     )
+    fabric_delay_ns = config.switch.link_propagation_ns + config.fabric_latency_ns
 
     servers: list[Server] = []
     for i in range(config.switch.n_downlinks):
@@ -112,15 +119,16 @@ def build_rack(sim: Simulator, config: RackConfig | None = None) -> Rack:
             pacing_rate_bps=config.pacing_rate_bps,
             mtu_bytes=config.mtu_bytes,
         )
-        nic_link.connect(
-            lambda packet, host=name: tor.receive_from_server(host, packet)
-        )
         tor.add_downlink(name, server.receive)
+        nic_link.connect(tor.downlink_ingress(name))
         servers.append(server)
 
     for _ in range(config.switch.n_uplinks):
-        tor.add_uplink(fabric.receive_from_tor)
-    fabric.connect_tor(tor.rack_hosts, tor.receive_from_fabric)
+        tor.add_uplink(fabric.receive_from_tor, fabric_delay_ns)
+    fabric.connect_tor(
+        tor.rack_hosts,
+        [tor.uplink_ingress(i) for i in range(config.switch.n_uplinks)],
+    )
 
     remote_hosts: list[Server] = []
     for i in range(config.n_remote_hosts):
@@ -129,7 +137,7 @@ def build_rack(sim: Simulator, config: RackConfig | None = None) -> Rack:
             sim,
             name=f"{name}-nic",
             rate_bps=config.remote_rate_bps,
-            propagation_ns=config.switch.link_propagation_ns,
+            propagation_ns=fabric_delay_ns,
         )
         remote = Server(
             sim,

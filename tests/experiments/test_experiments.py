@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.experiments import EXPERIMENTS, get_experiment, run_experiment
+from repro.experiments.common import APPS
 
 
 def rows_dict(result):
@@ -94,21 +95,33 @@ class TestTab1:
         assert rows["miss rate @ 25 us"] < 0.03
 
 
-class TestFig3:
-    def test_p90_landmarks(self):
-        result = run_experiment("fig3", seed=0, n_windows=8, window_s=1.0)
-        rows = rows_dict(result)
-        assert rows["web: p90 burst duration (us)"] <= 100
-        assert rows["cache: p90 burst duration (us)"] <= 300
-        assert rows["hadoop: p90 burst duration (us)"] <= 300
-        for app in ("web", "cache", "hadoop"):
-            assert rows[f"{app}: microburst (<1ms) share"] > 0.9
+@pytest.fixture(scope="module")
+def fig3_result():
+    """fig3 at 8 x 1 s windows, seed 0: run once for the module."""
+    return run_experiment("fig3", seed=0, n_windows=8, window_s=1.0)
 
-    def test_single_period_fractions(self):
-        result = run_experiment("fig3", seed=0, n_windows=8, window_s=1.0)
-        rows = rows_dict(result)
-        assert rows["web: single-period bursts"] > 0.6
-        assert rows["cache: single-period bursts"] > 0.5
+
+class TestFig3:
+    """fig3's own checks carry the paper's bands; these assert them."""
+
+    def test_p90_landmarks(self, fig3_result):
+        assert not fig3_result.failed_checks
+        checked = dict(fig3_result.checks)
+        rows = rows_dict(fig3_result)
+        p90 = {app: rows[f"{app}: p90 burst duration (us)"] for app in APPS}
+        for app in APPS:
+            assert any(name.startswith(f"{app} p90 burst <= ") for name in checked)
+            assert f"{app} microburst share >= 0.95" in checked
+        # the paper's web bursts are the shortest (p90 50 us)
+        assert p90["web"] == min(p90.values())
+
+    def test_single_period_fractions(self, fig3_result):
+        assert not fig3_result.failed_checks
+        checked = dict(fig3_result.checks)
+        rows = rows_dict(fig3_result)
+        for app in ("web", "cache"):
+            assert f"{app} single-period >= 0.60" in checked
+            assert f"{app}: single-period bursts" in rows
 
 
 class TestTab2:

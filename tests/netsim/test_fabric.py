@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError, SimulationError
-from repro.netsim import FabricCloud, Simulator
+from repro.netsim import FabricCloud, RackConfig, Simulator
 from repro.netsim.fabric import _PacedQueue
 from repro.netsim.packet import FiveTuple, Packet
 from repro.units import gbps, ms
@@ -59,13 +59,15 @@ class TestFabricCloudWiring:
     def test_double_tor_connect_rejected(self):
         sim = Simulator()
         fabric = FabricCloud(sim, n_uplinks=2, uplink_rate_bps=gbps(10))
-        fabric.connect_tor(["h0"], lambda i, p: None)
+        fabric.connect_tor(["h0"], [lambda p: None] * 2)
         with pytest.raises(ConfigError):
-            fabric.connect_tor(["h1"], lambda i, p: None)
+            fabric.connect_tor(["h1"], [lambda p: None] * 2)
 
     def test_negative_latency_rejected(self):
+        # the fabric's latency lives in the rack's link delays, so the one
+        # setting for it, RackConfig.fabric_latency_ns, is what checks it
         with pytest.raises(ConfigError):
-            FabricCloud(Simulator(), n_uplinks=2, uplink_rate_bps=gbps(10), latency_ns=-1)
+            RackConfig(fabric_latency_ns=-1)
 
     def test_unknown_destination_from_tor(self):
         sim = Simulator()
@@ -75,7 +77,7 @@ class TestFabricCloudWiring:
 
     def test_unknown_destination_from_remote(self):
         fabric = FabricCloud(Simulator(), n_uplinks=2, uplink_rate_bps=gbps(10))
-        fabric.connect_tor(["h0"], lambda i, p: None)
+        fabric.connect_tor(["h0"], [lambda p: None] * 2)
         with pytest.raises(SimulationError):
             fabric.receive_from_remote(packet(src="r0", dst="ghost"))
 

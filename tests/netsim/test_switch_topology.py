@@ -11,7 +11,7 @@ from repro.netsim import (
     build_rack,
 )
 from repro.netsim.packet import FiveTuple, Packet
-from repro.units import ms
+from repro.units import MIN_PACKET, gbps, ms, serialization_time_ns
 
 
 class TestTorSwitchConfig:
@@ -59,16 +59,56 @@ class TestForwarding:
         assert all(p.counters.rx_bytes == 0 for p in rack.tor.uplink_ports)
 
     def test_unknown_source_rejected(self, sim, small_rack):
-        flow = FiveTuple("ghost", "t-s0", 1, 2)
-        packet = Packet(flow=flow, size_bytes=100)
-        with pytest.raises(SimulationError):
-            small_rack.tor.receive_from_server("ghost", packet)
+        # a NIC link is bound to its host's downlink at wiring time, so an
+        # unknown host is refused there, before any packet flows
+        with pytest.raises(ConfigError, match="ghost"):
+            small_rack.tor.downlink_ingress("ghost")
 
     def test_fabric_packet_for_unknown_host_rejected(self, sim, small_rack):
         flow = FiveTuple("t-r0", "nowhere", 1, 2)
         packet = Packet(flow=flow, size_bytes=100)
         with pytest.raises(SimulationError):
-            small_rack.tor.receive_from_fabric(0, packet)
+            small_rack.tor.uplink_ingress(0)(packet)
+
+
+class TestFoldedFabricPath:
+    """One packet remote -> rack server and its ACK back, timed exactly.
+
+    The fabric's latency rides in the delay of the links into it, so
+    each arrival is a closed-form sum of serialization, propagation and
+    ``fabric_latency_ns``, and crossing the fabric costs no event.
+    """
+
+    def test_data_and_ack_arrive_at_closed_form_times(self):
+        sim = Simulator()
+        config = RackConfig(
+            name="t",
+            switch=TorSwitchConfig(n_downlinks=1, n_uplinks=1),
+            n_remote_hosts=1,
+        )
+        rack = build_rack(sim, config)
+        server, remote = rack.servers[0], rack.remote_hosts[0]
+        data_at, ack_at = [], []
+        server.on_data_packet = lambda packet: data_at.append(sim.now)
+        remote.send_flow(
+            server.name, 1500, packet_size=1500,
+            on_complete=lambda state: ack_at.append(sim.now),
+        )
+        sim.run_until(ms(1))
+
+        prop = config.switch.link_propagation_ns
+        fabric = config.fabric_latency_ns
+        data_ser = serialization_time_ns(1500, gbps(10))
+        ack_ser = serialization_time_ns(MIN_PACKET, gbps(10))
+        # remote NIC -> fabric queue -> ToR downlink -> server
+        data_arrival = data_ser + prop + fabric + data_ser + data_ser + prop
+        assert data_at == [data_arrival]
+        # server NIC -> ToR uplink -> remote host
+        assert ack_at == [data_arrival + ack_ser + prop + ack_ser + prop + fabric]
+        # remote: delivery + NIC pump; fabric queue: emit; downlink:
+        # delivery + finish; server: delivery + NIC pump; uplink: delivery
+        # + finish.  The RTO timer at 5 ms is past the horizon.
+        assert sim.events_processed == 9
 
 
 class TestWiring:
